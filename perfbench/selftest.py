@@ -8,9 +8,10 @@ For every workload, from the repository root:
   the report and in the JSON result (``--trace 0`` and ``--trace 1``);
 * two invocations with one seed simulate bit-identical counters and
   report identical simulated metrics;
-* a second seed given on the command line simulates different stats.
+* a second seed given on the command line simulates different stats;
+* a traced run simulates the same counters as the untraced ones.
 
-Exits 0 when every check passes.  Takes about a minute.
+Exits 0 when every check passes.  Takes a few minutes.
 """
 
 from __future__ import annotations

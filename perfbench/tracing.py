@@ -182,9 +182,9 @@ def _patch(tracer: Tracer, owner: Any, attr: str, layer: str,
 def instrument(tracer: Tracer) -> None:
     """Wrap every layer's entry points in spans (whole process, for good).
 
-    Layers are named after the package that owns the code; the simulated
-    ``sim.engine`` layer also owns the ``System`` driver (construction,
-    phase loop, result collection) around the dispatch loop.
+    Layers are named after the package that owns the code; the
+    ``sim.engine`` layer also owns ``System`` itself (construction, phase
+    loop, result collection) around the dispatch loop.
     """
     from repro.cache.cache import Cache
     from repro.core.bard import BardPolicy
@@ -203,7 +203,7 @@ def instrument(tracer: Tracer) -> None:
     from repro.sim.system import System
     import repro.sampling as sampling
 
-    # sim.engine: the dispatch loop and the System driver around it.
+    # sim.engine: the dispatch loop and the System code around it.
     # Every dispatch loop also adds the events it fired to the counters.
     dispatch = Engine.run
     counters = tracer.counters
@@ -273,7 +273,7 @@ def instrument(tracer: Tracer) -> None:
         _patch(tracer, JobQueue, name, "service")
     for name in ("put", "get"):
         _patch(tracer, ResultStore, name, "service")
-    # The client side is recorded (submit latency, wait) but owns no
-    # layer time of its own: it mostly sleeps between polls.
+    # The client's spans are recorded (submit latency, wait) under a
+    # "client" layer that is not reported: it mostly sleeps in polls.
     for name in ("submit", "wait", "result"):
         _patch(tracer, ServiceClient, name, "client", record=True)

@@ -53,7 +53,7 @@ class Workload:
     mshrs: Optional[int]
     warmup_mode: str
     budgets: Dict[str, Budget]
-    #: Extra seeds per kernel (service_grid submits several per kernel).
+    #: Seeds per kernel (service_grid submits several per kernel).
     seeds_per_kernel: int = 1
     #: Run through the HTTP service instead of a Session.
     service: bool = False
@@ -242,10 +242,8 @@ def check_runs(workload: Workload, scale: str,
     interval count.  The grid must also hold every planned run.
     """
     checks: List[Tuple[str, bool, str]] = []
-    expected_runs = (len(workload.kernels) * len(workload.policies)
-                     * workload.seeds_per_kernel)
-    checks.append(("grid_complete", len(runs) == expected_runs,
-                   f"{len(runs)}/{expected_runs} runs"))
+    checks.append(("grid_complete", len(runs) == workload.runs,
+                   f"{len(runs)}/{workload.runs} runs"))
     per_core = workload.retired_per_core(scale)
     sampling = workload.budgets[scale].sampling
     for run in runs:
