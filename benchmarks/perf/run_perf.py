@@ -130,7 +130,8 @@ def main(argv=None) -> int:
         entry = measure_scenario(scenario, quick=args.quick,
                                  repeats=args.repeats)
         print(f"  {entry['events']} events in {entry['best_seconds']}s "
-              f"-> {entry['events_per_sec']:,} events/sec")
+              f"-> {entry['events_per_sec']:,} events/sec, "
+              f"{entry['kinst_per_sec']:,} kinst/sec")
         entries.append(entry)
 
     warmup_entry = None

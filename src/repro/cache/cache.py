@@ -22,8 +22,8 @@ from __future__ import annotations
 import copy
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Protocol, \
-    Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, \
+    Protocol, Tuple
 
 from repro.cache.line import CacheSet
 from repro.cache.mshr import DRAINING, DoneCallback, FILLING, \
@@ -180,6 +180,9 @@ class Cache:
         #: True while admission has accesses queued - the signal Core
         #: uses to stall issue (plain attribute: read every core tick).
         self.stalled = False
+        #: Called with no arguments when ``stalled`` drops; the owning
+        #: Core sleeps on it instead of polling the flag every cycle.
+        self.on_unstall: Optional[Callable[[], None]] = None
         if pipeline:
             self.access = self._admit_access  # type: ignore[method-assign]
         else:
@@ -332,7 +335,12 @@ class Cache:
             self._process(addr, is_write, pc, now, on_done, core_id,
                           is_prefetch)
         if not pending:
-            self.stalled = False
+            self._unstall()
+
+    def _unstall(self) -> None:
+        self.stalled = False
+        if self.on_unstall is not None:
+            self.on_unstall()
 
     def _process(
         self,
@@ -697,12 +705,14 @@ class Cache:
         """Complete every outstanding miss functionally, right now.
 
         Queued (not yet admitted) accesses replay through the functional
-        warm path, then every MSHR entry installs its line and fires its
-        waiters at ``now``.  Fills already requested from the lower
-        level are remembered in ``_cancelled_fills`` and swallowed when
-        they arrive, so a stale fill can never complete a same-line
-        entry allocated after the drain; sends still scheduled see the
-        entry's ``drained`` flag and do nothing.  Used by warm-state
+        warm path (dropping ``stalled`` through :attr:`on_unstall`, so a
+        core asleep on the stall resumes), then every MSHR entry installs
+        its line and fires its waiters at ``now``.  Fills already
+        requested from the lower level are remembered in
+        ``_cancelled_fills`` and swallowed when they arrive, so a stale
+        fill can never complete a same-line entry allocated after the
+        drain; sends still scheduled see the entry's ``drained`` flag and
+        do nothing.  Used by warm-state
         checkpointing to snapshot mid-miss.  Installs go through the
         warm path, which never consults the writeback policy - callers
         tracking dirty lines must re-prime it afterwards (see
@@ -714,7 +724,8 @@ class Cache:
             self.warm_access(addr, is_write, pc, is_prefetch=is_prefetch)
             if on_done is not None:
                 on_done(now)
-        self.stalled = False
+        if self.stalled:
+            self._unstall()
         if not self.mshr:
             return
         for la, entry in self.mshr.items():

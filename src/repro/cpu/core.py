@@ -9,7 +9,11 @@ to the LLC and DRAM as writebacks.
 Event-efficiency: a core self-schedules ticks only while it can make
 progress.  When the ROB head is an outstanding load and the ROB is full (or
 the issue window is blocked), the core goes dormant and is woken by the
-load-completion callback, so stall time costs no events.
+load-completion callback, so stall time costs no events.  MSHR stalls
+(the L1D's ``stalled`` flag, raised only by the MSHR pipeline) cost no
+events either: with nothing left to retire the core sleeps until the L1D
+unstalls or the ROB head completes, resumes on the stall's CPU-cycle
+grid, and charges the skipped cycles to ``mshr_stall_cycles`` in one go.
 """
 
 from __future__ import annotations
@@ -78,6 +82,7 @@ class Core:
             # stall; give them the flag so the per-tick read stays a
             # plain attribute load.
             l1d.stalled = False
+        l1d.on_unstall = self._on_unstall
         self.l1i = l1i
         self.dtlb = dtlb
         self.itlb = itlb
@@ -90,6 +95,9 @@ class Core:
         self.finished = False
         self._sleeping = False
         self._tick_scheduled = False
+        #: Tick of the first CPU cycle of an MSHR stall not yet charged
+        #: to ``stats.mshr_stall_cycles`` (None when not stalled).
+        self._stall_base: Optional[int] = None
         self._last_fetch_line = -1
         #: Soft retirement quota (sampled intervals): the core keeps
         #: executing when it is reached - only the callback fires.
@@ -102,10 +110,13 @@ class Core:
 
     def start(self) -> None:
         self.stats.start_tick = self.engine.now
-        self._schedule_tick(self.engine.now)
+        if self._stall_base is None:
+            # An MSHR-stall sleeper resumes on its own wake (see _wake).
+            self._schedule_tick(self.engine.now)
 
     def reset_measurement(self, budget: int) -> None:
         """Begin a fresh measurement epoch (end of warmup)."""
+        self._carry_stall()
         self.stats = CoreStats(start_tick=self.engine.now)
         self.budget = budget
         self.finished = False
@@ -129,14 +140,16 @@ class Core:
         intervals chain without interruption, but the first interval
         after a functional warmup starts from an idle core.
         """
+        self._carry_stall()
         self.stats = CoreStats(start_tick=self.engine.now)
         self.budget = _UNBOUNDED
         self.finished = False
         self._quota = quota
         self._on_quota = on_quota
-        self._sleeping = False
-        if not self._tick_scheduled:
-            self._schedule_tick(self.engine.now)
+        if self._stall_base is None:
+            self._sleeping = False
+            if not self._tick_scheduled:
+                self._schedule_tick(self.engine.now)
 
     def pause(self) -> None:
         """Idle the core at a fast-forward boundary.
@@ -149,6 +162,30 @@ class Core:
         """
         self.finished = True
         self._sleeping = False
+        # Resumption starts from a fresh tick, which re-detects a stall
+        # that outlived the pause.
+        self._stall_base = None
+
+    def _carry_stall(self) -> None:
+        """Carry a live MSHR stall across an epoch boundary.
+
+        Called before the old epoch's stats are replaced: they are charged
+        the stalled cycles before the boundary, and the new epoch is
+        charged from the stall's next grid cycle at or after it.  The
+        core keeps its tick or sleep: the stall did not end at the
+        boundary.
+        """
+        base = self._stall_base
+        if base is not None:
+            self._stall_base = self._next_stall_cycle()
+            self.stats.mshr_stall_cycles += \
+                (self._stall_base - base) // TICKS_PER_CPU_CYCLE
+
+    def _next_stall_cycle(self) -> int:
+        """The first tick ``_stall_base + k*cycle >= now`` with k >= 1."""
+        base = self._stall_base
+        cycle = TICKS_PER_CPU_CYCLE
+        return base + max(1, -(-(self.engine.now - base) // cycle)) * cycle
 
     # ------------------------------------------------------------------
     # Functional warmup
@@ -202,9 +239,28 @@ class Core:
         self.engine.schedule(tick, self._tick)
 
     def _wake(self) -> None:
-        if self._sleeping and not self.finished:
+        """Resume a sleeping core (a load completed or the L1D unstalled)."""
+        if not self._sleeping or self.finished:
+            return
+        if self._stall_base is None:
             self._sleeping = False
             self._schedule_tick(self.engine.now)
+            return
+        # Asleep on an MSHR stall: only an unstall or a completed head
+        # lets the core act again.
+        entries = self.rob.entries
+        if self.l1d.stalled and (not entries
+                                 or entries[0].done_tick is None):
+            return
+        # Resume on the stall's cycle grid, where a per-cycle poll would
+        # have seen the change.
+        self._sleeping = False
+        self._schedule_tick(self._next_stall_cycle())
+
+    def _on_unstall(self) -> None:
+        """The L1D's ``on_unstall`` hook: wakes an MSHR-stall sleeper."""
+        if self._stall_base is not None:
+            self._wake()
 
     # ------------------------------------------------------------------
     # The per-activation core step
@@ -223,6 +279,13 @@ class Core:
         budget = self.budget
         cpu_cycle = TICKS_PER_CPU_CYCLE
 
+        if self._stall_base is not None:
+            # Charge the cycles issue stalled since the stall began.  This
+            # runs before retirement so a quota crossing or finish on this
+            # tick sees them and no stale stall leaks into the next epoch.
+            stats.mshr_stall_cycles += (now - self._stall_base) // cpu_cycle
+            self._stall_base = None
+
         quota = self._quota
         cap = budget if quota is None or budget < quota else quota
         remaining = cap - stats.retired
@@ -240,18 +303,23 @@ class Core:
             self._finish(now)
             return
 
+        rob_entries = rob.entries
         if self.l1d.stalled:
             # The L1D's MSHR admission queue backed up into us: issue
-            # stalls this cycle (retirement above still ran) and retries
-            # next cycle.  Progress is guaranteed - a non-empty queue
-            # implies a fill in flight.  Always False in the legacy
-            # regime, so the default configuration's event schedule is
-            # untouched.
-            stats.mshr_stall_cycles += 1
-            self._schedule_tick(now + cpu_cycle)
+            # stalls from this cycle on (retirement above still ran).
+            # While the head can retire, keep ticking once per cycle;
+            # otherwise sleep until the L1D unstalls or the head load
+            # completes (see _wake).  Progress is guaranteed - a
+            # non-empty queue implies a fill in flight.  Always False in
+            # the legacy regime, so the default configuration's event
+            # schedule is untouched.
+            self._stall_base = now
+            if rob_entries and rob_entries[0].done_tick is not None:
+                self._schedule_tick(now + cpu_cycle)
+            else:
+                self._sleeping = True
             return
 
-        rob_entries = rob.entries
         rob_size = rob.size
         trace_next = self.trace.__next__
         push = rob_entries.append

@@ -304,6 +304,9 @@ def measure_scenario(scenario: PerfScenario, quick: bool = False,
         events = result.events
         if best_seconds is None or seconds < best_seconds:
             best_seconds = seconds
+    # Warmup and measurement both run through the timing model here.
+    kinst = config.cores * (config.warmup_instructions
+                            + config.sim_instructions) / 1000.0
     return {
         "name": scenario.name,
         "workload": scenario.workload,
@@ -315,6 +318,7 @@ def measure_scenario(scenario: PerfScenario, quick: bool = False,
         "events": events,
         "best_seconds": round(best_seconds, 4),
         "events_per_sec": round(events / best_seconds, 1),
+        "kinst_per_sec": round(kinst / best_seconds, 2),
     }
 
 

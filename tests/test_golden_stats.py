@@ -8,6 +8,11 @@ in the resulting :class:`~repro.sim.results.RunResult` against values
 captured from the seed implementation (commit 74a1c56), stored in
 ``tests/data/golden_stats.json``.
 
+One event count is not the seed's: ``mshr_pressure.events_fired``.  Its
+cores used to poll an MSHR stall once per CPU cycle and now sleep until
+the L1D unstalls, so that scenario fires far fewer events for the same
+statistics; :func:`test_mshr_stalls_cost_no_events` keeps it that way.
+
 If one of these tests fails, the change altered simulation behaviour -
 either fix the regression or, if the behavioural change is intended and
 reviewed, regenerate the goldens as described in ``docs/performance.md``.
@@ -15,8 +20,10 @@ reviewed, regenerate the goldens as described in ``docs/performance.md``.
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
+from typing import Tuple
 
 import pytest
 
@@ -74,6 +81,18 @@ def collect_stats(result: RunResult) -> dict:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def run_golden(name: str) -> Tuple[int, RunResult]:
+    """``(engine events fired, result)`` of one golden scenario's run."""
+    golden = GOLDEN[name]
+    scenario = _SCENARIOS_BY_NAME[name]
+    config = scenario_config(scenario, golden=True)
+    factory = trace_factory(scenario.workload, config, seed=golden["seed"])
+    system = System(config, factory)
+    result = system.run(label=scenario.workload)
+    return system.engine.events_fired, result
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 class TestGoldenStats:
     def test_matches_seed_implementation(self, name):
@@ -85,11 +104,7 @@ class TestGoldenStats:
         assert config.warmup_instructions == golden["warmup_instructions"]
         assert config.sim_instructions == golden["sim_instructions"]
 
-        factory = trace_factory(scenario.workload, config,
-                                seed=golden["seed"])
-        system = System(config, factory)
-        result = system.run(label=scenario.workload)
-
+        events_fired, result = run_golden(name)
         got = collect_stats(result)
         want = golden["stats"]
         mismatched = {k: (want[k], got.get(k))
@@ -99,9 +114,18 @@ class TestGoldenStats:
             f"implementation: {mismatched}"
         )
         # The refactored engine also dispatches the exact same events.
-        assert system.engine.events_fired == golden["events_fired"]
+        assert events_fired == golden["events_fired"]
         # RunResult.events carries the same number out to the perf harness.
         assert result.events == golden["events_fired"]
+
+
+def test_mshr_stalls_cost_no_events():
+    """``mshr_pressure`` is ``graph_mix`` (same ``bc`` trace and budgets)
+    on a tight MSHR pipeline.  Stalled cores sleep, so the pipeline may
+    add only a few events; a per-cycle stall poll multiplies them."""
+    pressure, _ = run_golden("mshr_pressure")
+    plain, _ = run_golden("graph_mix")
+    assert pressure <= 1.1 * plain
 
 
 def test_session_path_produces_identical_results():

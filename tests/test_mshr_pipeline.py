@@ -10,18 +10,29 @@ queues inadmissible accesses; these tests pin its invariants:
 * a huge-MSHR pipeline cache is latency-identical to the legacy
   regime (differential oracle),
 * drain() completes outstanding misses functionally and swallows the
-  stale fills, so mid-miss warm-state snapshots are safe.
+  stale fills, so mid-miss warm-state snapshots are safe,
+* a core stalled on the L1D sleeps without events, resumes on its
+  stall's CPU-cycle grid, and charges exactly the skipped cycles.
 """
 
+import dataclasses
 import random
 
 import pytest
 
 from repro.cache.cache import Cache
 from repro.cache.replacement import LRUPolicy
+from repro.clock import TICKS_PER_CPU_CYCLE
+from repro.cpu.core import Core
+from repro.cpu.trace import STORE
+from repro.sampling import SamplingConfig
 from repro.sim.engine import Engine
+from repro.sim.system import System
+from repro.workloads.suites import trace_factory
 
+from .conftest import tiny_config
 from .test_cache import FakeLower, addr_for_set
+from .test_cpu import InstantMemory, ZeroTLB
 
 
 def make_pipeline_cache(engine, lower, sets=4, ways=2, mshrs=2,
@@ -311,3 +322,121 @@ class TestDrain:
         cache.drain(engine.now)
         assert cache.stats.fills == before.fills
         assert cache.find_line(0) is not None
+
+
+#: The tick of the first stalled cycle in :func:`stalled_core`.
+STALL_BASE = TICKS_PER_CPU_CYCLE
+
+
+def stalled_core(budget=40):
+    """A core asleep on an L1D stall that only the lower level can end.
+
+    Every instruction stores to one line through a one-target MSHR: the
+    first store misses and the next three queue as secondary-miss stalls.
+    The stores retire on the core's second tick, which finds the L1D
+    stalled and the ROB empty, so only the L1D's unstall can wake it.
+    Once the fill lands every store hits.  ``pulls`` holds the tick of
+    every trace record the core consumed.
+    """
+    engine = Engine()
+    lower = FakeLower(engine, auto=False)
+    l1d = make_pipeline_cache(engine, lower, mshrs=1, mshr_targets=1)
+    pulls = []
+
+    def trace():
+        while True:
+            pulls.append(engine.now)
+            yield (STORE, 0, 4)
+
+    core = Core(0, trace(), engine, l1d, InstantMemory(engine), ZeroTLB(),
+                ZeroTLB(), rob_size=16, budget=budget)
+    core.start()
+    # A core polling its stall would never let the queue drain.
+    engine.run(max_events=100)
+    return engine, lower, l1d, core, pulls
+
+
+class TestCoreStallSleep:
+    def test_stalled_core_sleeps_without_events(self):
+        engine, lower, l1d, core, pulls = stalled_core()
+        assert l1d.stalled and lower.pending
+        assert core.stats.retired == 4 and pulls == [0] * 4
+        # No tick is scheduled: nothing polls the stall.
+        assert engine.pending == 0
+        assert not core._tick_scheduled
+
+    @pytest.mark.parametrize("unstall, resume",
+                             [(99, 99), (100, 102), (101, 102)])
+    def test_resumes_on_first_grid_tick_after_unstall(self, unstall,
+                                                      resume):
+        engine, lower, l1d, core, pulls = stalled_core()
+        engine.schedule(unstall, lower.respond_all)
+        engine.run()
+        assert not l1d.stalled
+        assert pulls[4] == resume
+        assert (resume - STALL_BASE) % TICKS_PER_CPU_CYCLE == 0
+        assert core.finished
+
+    def test_stall_cycles_equal_skipped_cycles(self):
+        engine, lower, l1d, core, pulls = stalled_core()
+        engine.schedule(100, lower.respond_all)
+        engine.run()
+        # Every CPU cycle from the first stalled one up to the resume
+        # tick - what a poll every cycle would have counted.
+        assert core.stats.mshr_stall_cycles == \
+            (pulls[4] - STALL_BASE) // TICKS_PER_CPU_CYCLE == 33
+
+    def test_pause_drops_the_stall(self):
+        engine, lower, l1d, core, pulls = stalled_core()
+        core.pause()
+        engine.schedule(100, lower.respond_all)
+        engine.run()
+        assert len(pulls) == 4      # the unstall does not wake it
+        assert engine.pending == 0
+        core.reset_measurement(budget=8)
+        core.start()
+        engine.run()
+        # No stale stall leaks into the epoch after the pause.
+        assert core.stats.mshr_stall_cycles == 0
+        assert core.stats.retired == 8
+
+    @pytest.mark.parametrize("boundary", ["begin_quota",
+                                          "reset_measurement"])
+    def test_epoch_boundary_splits_the_stall(self, boundary):
+        engine, lower, l1d, core, pulls = stalled_core()
+        engine.schedule(50, lambda: None)
+        engine.run()
+        old = core.stats
+        if boundary == "begin_quota":
+            core.begin_quota(4, lambda c: engine.stop())
+        else:
+            core.reset_measurement(budget=8)
+            core.start()
+        # The stall outlives the boundary: the core stays asleep.
+        assert engine.pending == 0
+        engine.schedule(100, lower.respond_all)
+        engine.run()
+        assert pulls[4] == 102
+        # Cycles 3..48 stay with the old epoch, 51..99 go to the new one.
+        assert old.mshr_stall_cycles == 16
+        assert core.stats.mshr_stall_cycles == 17
+
+    def test_cache_drain_wakes_the_stalled_core(self):
+        engine, lower, l1d, core, pulls = stalled_core()
+        engine.schedule(50, l1d.drain, 50)
+        engine.run()
+        assert not l1d.stalled
+        assert pulls[4] == 51
+        assert core.stats.mshr_stall_cycles == 16
+        assert core.finished
+
+    def test_sampled_pipeline_run_repeats_bit_identically(self):
+        cfg = tiny_config(warmup_mode="functional").with_mshrs(2)
+        cfg = cfg.with_sampling(SamplingConfig(
+            intervals=3, interval_instructions=300,
+            warm_instructions=200, detailed_warm_instructions=100))
+        runs = [System(cfg, trace_factory("bc", cfg, seed=7)).run()
+                for _ in range(2)]
+        assert runs[0].sampling.intervals == 3
+        assert runs[0].mshr_stall_cycles > 0
+        assert dataclasses.asdict(runs[0]) == dataclasses.asdict(runs[1])
