@@ -20,6 +20,7 @@ All externally visible times are engine ticks.
 from __future__ import annotations
 
 import copy
+import pickle
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, \
@@ -537,7 +538,9 @@ class Cache:
             return
         del self._tags[set_idx][line.line_addr]
         self.stats.evictions += 1
-        self.repl.on_eviction(set_idx, way, line)
+        on_eviction = self.repl.on_eviction
+        if on_eviction is not None:
+            on_eviction(set_idx, way, line)
         if line.dirty:
             self.stats.dirty_evictions += 1
             self._write_back(line.line_addr, now)
@@ -670,7 +673,9 @@ class Cache:
             way = self.repl.victim(set_idx, cset.lines)
             victim = cset.lines[way]
             del tags[victim.line_addr]
-            self.repl.on_eviction(set_idx, way, victim)
+            on_eviction = self.repl.on_eviction
+            if on_eviction is not None:
+                on_eviction(set_idx, way, victim)
             if victim.dirty and self._warm_lower_wb is not None:
                 self._warm_lower_wb(victim.line_addr)
             victim.reset()
@@ -749,7 +754,7 @@ class Cache:
         self._outstanding = 0
 
     def snapshot_warm_state(self) -> "CacheWarmState":
-        """Deep-copied warm state: tag array + replacement + prefetcher.
+        """Warm state: tag array + pickled replacement and prefetcher.
 
         Outstanding misses (MSHR entries or queued accesses) no longer
         raise: they are completed functionally via :meth:`drain` first,
@@ -768,12 +773,12 @@ class Cache:
             ])
         return CacheWarmState(
             lines=lines,
-            repl=copy.deepcopy(self.repl),
-            prefetcher=copy.deepcopy(self.prefetcher),
+            policies=pickle.dumps((self.repl, self.prefetcher),
+                                  pickle.HIGHEST_PROTOCOL),
         )
 
     def restore_warm_state(self, state: "CacheWarmState") -> None:
-        """Overwrite this cache's state with a snapshot's (deep copies)."""
+        """Overwrite this cache's state with a snapshot's (fresh copies)."""
         if len(state.lines) != self.num_sets or (
                 state.lines and len(state.lines[0]) != self.ways):
             raise SimulationError(
@@ -795,6 +800,7 @@ class Cache:
                 line.reused = reused
                 line.prefetched = prefetched
                 tags[la] = way
-        self.repl = copy.deepcopy(state.repl)
-        if self.prefetcher is not None and state.prefetcher is not None:
-            self.prefetcher = copy.deepcopy(state.prefetcher)
+        repl, prefetcher = pickle.loads(state.policies)
+        self.repl = repl
+        if self.prefetcher is not None and prefetcher is not None:
+            self.prefetcher = prefetcher

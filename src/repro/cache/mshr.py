@@ -54,7 +54,7 @@ def word_index(addr: int) -> int:
     return (addr >> 3) & (WORDS_PER_LINE - 1)
 
 
-@dataclass
+@dataclass(slots=True)
 class MSHREntry:
     """State for one outstanding line fill."""
 

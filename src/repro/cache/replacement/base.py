@@ -11,7 +11,7 @@ policies, ties broken by way index).
 from __future__ import annotations
 
 import abc
-from typing import List, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.cache.line import CacheLine
 
@@ -20,15 +20,22 @@ class ReplacementPolicy(abc.ABC):
     """Per-cache replacement state and decisions.
 
     Snapshot contract: the warm-state checkpoint layer
-    (:mod:`repro.sim.warmstate`) captures and restores a policy with
-    ``copy.deepcopy``, so implementations must keep *all* mutable state
-    in deep-copyable attributes (plain containers, ints, or picklable
-    iterators such as ``itertools.count``) and must not hold references
-    to the engine, the cache, or other simulation components.  Every
-    shipped policy (LRU, SRRIP, SHiP, DRRIP) satisfies this.
+    (:mod:`repro.sim.warmstate`) captures a policy with ``pickle`` and
+    restores it by unpickling, so implementations must keep *all*
+    mutable state in picklable attributes (plain containers and ints;
+    not iterators such as ``itertools.count``, whose pickling is
+    deprecated) and must not hold references to the engine, the cache,
+    or other simulation components.  Every shipped policy (LRU, SRRIP,
+    SHiP, DRRIP) satisfies this.
     """
 
     name: str = "base"
+
+    #: Eviction feedback hook ``(set_idx, way, line)``, called as the
+    #: line at (set, way) is evicted.  None for policies that learn
+    #: nothing from evictions - all but SHiP - and the cache then skips
+    #: the call.
+    on_eviction: Optional[Callable[[int, int, CacheLine], None]] = None
 
     def __init__(self, num_sets: int, ways: int) -> None:
         self.num_sets = num_sets
@@ -51,7 +58,3 @@ class ReplacementPolicy(abc.ABC):
     def eviction_order(self, set_idx: int,
                        lines: Sequence[CacheLine]) -> List[int]:
         """Ways ordered most-evictable first (LRU -> MRU or max -> min RRPV)."""
-
-    def on_eviction(self, set_idx: int, way: int,
-                    line: CacheLine) -> None:
-        """The line at (set, way) is being evicted (SHiP feedback hook)."""

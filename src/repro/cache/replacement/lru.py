@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from typing import List, Sequence
 
 from repro.cache.line import CacheLine
@@ -20,31 +19,23 @@ class LRUPolicy(ReplacementPolicy):
 
     def __init__(self, num_sets: int, ways: int) -> None:
         super().__init__(num_sets, ways)
-        self._clock = itertools.count(1)
+        self._clock = 0
         self._stamp = [[0] * ways for _ in range(num_sets)]
-
-    def _touch(self, set_idx: int, way: int) -> None:
-        self._stamp[set_idx][way] = next(self._clock)
 
     def on_fill(self, set_idx: int, way: int, pc: int,
                 is_prefetch: bool = False) -> None:
-        self._touch(set_idx, way)
+        self._clock += 1
+        self._stamp[set_idx][way] = self._clock
 
     def on_hit(self, set_idx: int, way: int, pc: int) -> None:
-        self._touch(set_idx, way)
+        self._clock += 1
+        self._stamp[set_idx][way] = self._clock
 
     def victim(self, set_idx: int, lines: Sequence[CacheLine]) -> int:
+        # list.index returns the first (lowest) way holding the minimum.
         stamps = self._stamp[set_idx]
-        best = 0
-        best_stamp = stamps[0]
-        for way in range(1, len(stamps)):
-            stamp = stamps[way]
-            if stamp < best_stamp:
-                best = way
-                best_stamp = stamp
-        return best
+        return stamps.index(min(stamps))
 
     def eviction_order(self, set_idx: int,
                        lines: Sequence[CacheLine]) -> List[int]:
-        stamps = self._stamp[set_idx]
-        return sorted(range(self.ways), key=lambda w: stamps[w])
+        return sorted(range(self.ways), key=self._stamp[set_idx].__getitem__)

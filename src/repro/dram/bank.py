@@ -11,6 +11,9 @@ about write latency (Figs. 4-5):
   back-to-back writes is ``tRCD + tCWL + tWR + tRP`` = 188 cycles
   burst-to-burst (the paper's "24x" case).
 
+Rows stay open until a conflicting access (open-page policy); only an
+all-bank refresh closes rows otherwise.
+
 Cross-bank constraints (same-bankgroup tCCD_L, the shared data bus, and bus
 turnaround) are enforced by :class:`repro.dram.subchannel.SubChannel`; this
 module only owns same-bank state.
@@ -195,10 +198,13 @@ class Bank:
         return kind
 
     def close_row(self, now: int) -> None:
-        """Precharge the bank (adaptive open-page row closure).
+        """Precharge the bank (all-bank refresh closes every row).
 
-        The PRE is issued as soon as legal: after tRAS from the ACT and, for
-        writes, after write recovery from the last burst.
+        Scheduled accesses never call this: under the open-page policy a
+        row stays open until a conflicting access, whose PRE is part of
+        its :meth:`earliest_burst` chain.  The PRE is issued as soon as
+        legal: after tRAS from the ACT and, for writes, after write
+        recovery from the last burst.
         """
         if self.open_row is None:
             return

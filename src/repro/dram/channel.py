@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional
+from typing import Deque, List
 
 from repro.clock import TICKS_PER_DRAM_CYCLE
 from repro.dram.commands import MemRequest
@@ -84,7 +84,7 @@ class Channel:
         self._staged_writes: List[Deque[MemRequest]] = [
             deque() for _ in range(SUBCHANNELS)
         ]
-        self._next_event: List[Optional[int]] = [None] * SUBCHANNELS
+        self._tick_pending: List[bool] = [False] * SUBCHANNELS
 
     def attach(self, engine) -> None:
         """Connect the channel to the simulation engine."""
@@ -95,7 +95,11 @@ class Channel:
     # ------------------------------------------------------------------
 
     def submit(self, req: MemRequest) -> None:
-        """Accept a read or write request for this channel."""
+        """Accept a read or write request for this channel.
+
+        The sub-channel is kicked only when its scheduler can issue, at
+        the first cycle it can (see :meth:`SubChannel.on_arrival`).
+        """
         sc_idx = req.coord.subchannel
         sc = self.subchannels[sc_idx]
         now_cycle = self._now_cycle()
@@ -116,7 +120,9 @@ class Channel:
             if not sc.enqueue_write(req):
                 stats.staged_writes += 1
                 self._staged_writes[sc_idx].append(req)
-        self._kick(sc_idx, now_cycle)
+        issue_cycle = sc.on_arrival(now_cycle)
+        if issue_cycle is not None:
+            self._kick(sc_idx, issue_cycle)
 
     def _forwardable(self, sc_idx: int, addr: int) -> bool:
         if self.subchannels[sc_idx].wq.contains_addr(addr):
@@ -168,29 +174,25 @@ class Channel:
         return -(-tick // TICKS_PER_DRAM_CYCLE)  # ceil division
 
     def _kick(self, sc_idx: int, cycle: int) -> None:
-        """Ensure a scheduler tick for sub-channel ``sc_idx`` at ``cycle``."""
-        pending = self._next_event[sc_idx]
-        if pending is not None and pending <= cycle:
+        """Ensure a scheduler tick for sub-channel ``sc_idx`` by ``cycle``.
+
+        Kick cycles never decrease - arrivals and the bus reservation only
+        move forward - so a tick already pending is due at or before
+        ``cycle`` and serves this kick too.
+        """
+        if self._tick_pending[sc_idx]:
             return
-        self._next_event[sc_idx] = cycle
-        tick = cycle * TICKS_PER_DRAM_CYCLE
-        now = self._engine.now
-        if now > tick:
-            tick = now
-        self._engine.schedule(tick, self._tick_sc, sc_idx)
+        self._tick_pending[sc_idx] = True
+        self._engine.schedule(cycle * TICKS_PER_DRAM_CYCLE, self._tick_sc,
+                              sc_idx)
 
     def _tick_sc(self, sc_idx: int) -> None:
+        self._tick_pending[sc_idx] = False
         cycle = self._engine.now // TICKS_PER_DRAM_CYCLE
-        expected = self._next_event[sc_idx]
-        if expected is not None and expected > cycle:
-            # A newer, earlier kick superseded this event.
-            return
-        self._next_event[sc_idx] = None
         nxt = self.subchannels[sc_idx].tick(cycle)
-        self._replay_staged(sc_idx)
+        if self._staged_writes[sc_idx] or self._staged_reads[sc_idx]:
+            self._replay_staged(sc_idx)
         if nxt is not None:
-            if nxt <= cycle:
-                nxt = cycle + 1
             self._kick(sc_idx, nxt)
 
     def _replay_staged(self, sc_idx: int) -> None:

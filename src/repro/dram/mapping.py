@@ -118,14 +118,7 @@ class ZenMapping:
         if self.pbpl:
             ba ^= row & self._ba_mask
             bg ^= (row >> _BA_BITS) & self._bg_mask
-        return DramCoord(
-            channel=channel,
-            subchannel=sc,
-            bankgroup=bg,
-            bank=ba,
-            row=row,
-            column=(co1 << _CO0_BITS) | co0,
-        )
+        return DramCoord(channel, sc, bg, ba, row, (co1 << _CO0_BITS) | co0)
 
     def compose(self, coord: DramCoord) -> int:
         """Inverse of :meth:`map`: rebuild the physical byte address.

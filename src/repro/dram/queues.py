@@ -58,7 +58,7 @@ class WriteQueue:
     """Bounded write queue with high/low drain watermarks.
 
     Coalesces same-address writes and supports address lookup for read
-    forwarding and for the adaptive open-page policy's pending-row check.
+    forwarding.
     """
 
     capacity: int

@@ -12,6 +12,11 @@ paper: "the memory controller tries to issue lower latency writes from the
 WRQ"), which naturally prefers different-bankgroup banks without pending
 conflicts.
 
+Row-buffer policy: open page.  A row stays open after its burst until
+an access to another row of the same bank conflicts with it (or an
+all-bank refresh precharges every bank); the scheduler never closes a
+row early.
+
 All times in this module are DRAM command-clock cycles.
 """
 
@@ -125,6 +130,22 @@ class SubChannel:
     def idle(self) -> bool:
         return not self.rq.entries and not self.wq.entries
 
+    def on_arrival(self, now: int) -> Optional[int]:
+        """Account for a request queued at cycle ``now``.
+
+        Applies refresh and the drain watermarks at ``now``, so an
+        episode starts at the arrival that trips the high watermark even
+        while the bus is reserved beyond the pipelining horizon.  Returns
+        the first cycle :meth:`tick` could issue at, or None when it has
+        nothing to issue (no drain in progress and no queued read).
+        """
+        self._maybe_refresh(now)
+        self._update_drain_mode(now)
+        if not self._in_drain and not self.rq.entries:
+            return None
+        start = self.bus_free_cycle - _PIPELINE_HORIZON
+        return start if start > now else now
+
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
@@ -187,16 +208,31 @@ class SubChannel:
         """Select the next write to drain.
 
         'min-latency': the paper's assumed MC behaviour - issue the write
-        with the earliest achievable burst.  'fcfs': oldest write first
-        (ablation).
+        with the earliest achievable burst, the oldest one on a tie.
+        'fcfs': oldest write first (ablation).
+
+        No write can burst before the *floor*: the bus freeing, tCCD_S
+        after the last write burst, and the read-to-write turnaround.  So
+        the first queued write that reaches the floor is already the
+        exact argmin and the scan stops there.
         """
         if self.drain_policy == "fcfs":
             return self.wq.oldest()
+        bus_free = self.bus_free_cycle
+        floor = self._last_wr_burst + self._tccd_s_wr
+        if bus_free > floor:
+            floor = bus_free
+        if self.bus_mode is not Op.WRITE:
+            c = bus_free + self._turnaround
+            if c > floor:
+                floor = c
         best: Optional[MemRequest] = None
         best_burst = 0
         earliest = self.earliest_burst
         for req in self.wq.entries:
             burst = earliest(req, now)
+            if burst <= floor:
+                return req
             if best is None or burst < best_burst:
                 best, best_burst = req, burst
         return best
@@ -229,10 +265,12 @@ class SubChannel:
             self.stats.write_mode_cycles += end - self._episode_start
 
     def tick(self, now: int) -> Optional[int]:
-        """Attempt to issue one request; returns the next cycle to retry.
+        """Issue requests until the bus is reserved past the horizon.
 
-        Returns None when both queues are empty (the channel re-kicks the
-        sub-channel when new requests arrive).
+        Returns the cycle to retry at, when the bus reservation falls
+        back within the horizon, or None when nothing is left to issue;
+        the channel kicks the sub-channel again when a new arrival makes
+        something issuable (see :meth:`on_arrival`).
         """
         self._maybe_refresh(now)
         rq_entries = self.rq.entries
@@ -280,7 +318,6 @@ class SubChannel:
             else:
                 self._last_rd_burst_bg[req.bankgroup] = burst
                 self._last_rd_burst = burst
-            self._maybe_close_row(bank, req.sc_bank, req.row, burst_end)
 
         if is_write:
             self.wq.remove(req)
@@ -307,17 +344,6 @@ class SubChannel:
                 self.stats.write_row_conflicts += 1
             else:
                 self.stats.read_row_conflicts += 1
-
-    def _maybe_close_row(self, bank: Bank, bank_id: int, row: int,
-                         now: int) -> None:
-        """Adaptive open-page: close the row if no queued request needs it."""
-        for req in self.rq.entries:
-            if req.sc_bank == bank_id and req.row == row:
-                return
-        for req in self.wq.entries:
-            if req.sc_bank == bank_id and req.row == row:
-                return
-        bank.close_row(now)
 
     def _maybe_refresh(self, now: int) -> None:
         """All-bank refresh: stall the sub-channel for tRFC every tREFI.

@@ -21,8 +21,8 @@ class PrefetcherStats:
 class Prefetcher(abc.ABC):
     """Base class for cache prefetchers.
 
-    Snapshot contract: warm-state checkpoints deep-copy prefetchers, so
-    keep all mutable state in deep-copyable attributes and hold no
+    Snapshot contract: warm-state checkpoints pickle prefetchers, so
+    keep all mutable state in picklable attributes and hold no
     references to the engine or the owning cache (the cache calls
     :meth:`on_access` and issues the returned targets itself).
     """

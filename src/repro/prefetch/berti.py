@@ -54,6 +54,8 @@ class BertiPrefetcher(Prefetcher):
             if len(self._table) >= _TABLE_SIZE:
                 self._table.pop(next(iter(self._table)))
             self._table[pc] = (addr, 0, 0)
+        if len(targets) < 2:
+            return targets
         # Deduplicate same-line targets.
         seen = set()
         unique: List[int] = []

@@ -20,6 +20,8 @@ _SIG_MASK = (1 << _SIG_BITS) - 1
 _TABLE_SIZE = 1024
 _LOOKAHEAD = 2
 _MIN_CONF = 2
+#: Cache blocks per page.
+_BLOCKS = 1 << (_PAGE_BITS - 6)
 
 
 def _update_signature(sig: int, delta: int) -> int:
@@ -43,12 +45,12 @@ class SPPPrefetcher(Prefetcher):
         deltas = self._patterns.get(sig)
         if not deltas:
             return 0, 0
-        delta = max(deltas, key=lambda d: deltas[d])
+        delta = max(deltas, key=deltas.__getitem__)
         return delta, deltas[delta]
 
     def predict(self, addr: int, pc: int, hit: bool) -> List[int]:
         page = addr >> _PAGE_BITS
-        block = (addr >> 6) & ((1 << (_PAGE_BITS - 6)) - 1)
+        block = (addr >> 6) & (_BLOCKS - 1)
         state = self._pages.get(page)
         targets: List[int] = []
         if state is not None:
@@ -68,7 +70,7 @@ class SPPPrefetcher(Prefetcher):
                     if conf < _MIN_CONF or pred == 0:
                         break
                     cur_block += pred
-                    if not 0 <= cur_block < (1 << (_PAGE_BITS - 6)):
+                    if not 0 <= cur_block < _BLOCKS:
                         break
                     targets.append(
                         (page << _PAGE_BITS) | (cur_block << 6)
@@ -79,6 +81,8 @@ class SPPPrefetcher(Prefetcher):
             if len(self._pages) >= _TABLE_SIZE:
                 self._pages.pop(next(iter(self._pages)))
             self._pages[page] = (0, block)
+        if not targets:
+            return targets
         # Deduplicate same-line targets.
         seen = set()
         unique: List[int] = []

@@ -286,7 +286,7 @@ class System:
         return acts, pres
 
     def snapshot_warm_state(self) -> WarmState:
-        """Deep-copied post-warmup state, restorable into a fresh system.
+        """Copied post-warmup state, restorable into a fresh system.
 
         Requires ``warmup_mode="functional"``; warms the system first if
         :meth:`warm_up` has not run yet.  The snapshot is independent of

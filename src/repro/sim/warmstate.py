@@ -31,10 +31,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cache.replacement.base import ReplacementPolicy
     from repro.config.system import SystemConfig
     from repro.cpu.tlb import HierarchyState
-    from repro.prefetch.base import Prefetcher
 
 #: One valid cache line: (line_addr, dirty, signature, reused, prefetched).
 LineState = Tuple[int, bool, int, bool, bool]
@@ -80,10 +78,10 @@ class CacheWarmState:
 
     #: Per set, per way: the line's state, or None for an invalid way.
     lines: List[List[Optional[LineState]]]
-    #: Deep copy of the replacement policy (recency stamps, RRPVs, ...).
-    repl: "ReplacementPolicy"
-    #: Deep copy of the prefetcher (delta tables, signatures), if any.
-    prefetcher: Optional["Prefetcher"]
+    #: Pickled ``(replacement policy, prefetcher or None)`` pair:
+    #: recency stamps / RRPVs and delta tables / signatures.  Each
+    #: restore unpickles its own copy.
+    policies: bytes
 
 
 @dataclass

@@ -3,6 +3,7 @@ finalization."""
 
 import pytest
 
+from repro.clock import TICKS_PER_DRAM_CYCLE
 from repro.dram.channel import Channel
 from repro.dram.commands import MemRequest, Op
 from repro.dram.mapping import ZenMapping
@@ -110,3 +111,48 @@ class TestKickCoalescing:
         # Each read needs a handful of events (kick, issue, completion);
         # allow a generous constant factor.
         assert eng.events_fired < 100 * 20
+
+
+def _sc0_writes(n):
+    """``n`` distinct writes that all map to sub-channel 0."""
+    out = []
+    addr = 0
+    while len(out) < n:
+        if _M.map(addr).subchannel == 0:
+            out.append(_write(addr))
+        addr += 64
+    return out
+
+
+class TestKickOnlyWhenIssuable:
+    def test_writes_below_watermark_schedule_nothing(self, setup):
+        """Writes below the high watermark cannot issue: no kick."""
+        eng, ch = setup
+        for req in _sc0_writes(39):
+            ch.submit(req)
+        assert eng.pending == 0
+        eng.run()
+        assert eng.events_fired == 0
+
+    def test_watermark_crossing_while_bus_reserved(self, setup):
+        """A drain starts at the arrival that trips the high watermark,
+        not when the bus reservation falls back within the horizon."""
+        eng, ch = setup
+        sc = ch.subchannels[0]
+        # A read to a precharged bank reserves the bus ~80 cycles ahead.
+        ch.submit(_read(0))
+        crossing = {}
+
+        def trip():
+            assert sc.bus_free_cycle - 24 > ch._now_cycle() == 10
+            for req in _sc0_writes(40):
+                ch.submit(req)
+            crossing["arrival"] = req.arrival_cycle
+
+        eng.schedule(10 * TICKS_PER_DRAM_CYCLE, trip)
+        eng.run()
+        ch.finalize()
+        episodes = sc.stats.episodes
+        assert len(episodes) == 1
+        assert episodes[0].start_cycle == crossing["arrival"] == 10
+        assert sc.stats.writes_issued == 32

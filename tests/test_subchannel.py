@@ -195,3 +195,28 @@ class TestTurnaround:
         sc.enqueue_write(_wreq(1 << 13))
         drain_sc(sc)
         assert sc.stats.turnaround_cycles >= sc.timing.turnaround
+
+
+class TestOpenPage:
+    """Rows stay open until a conflicting access: the scheduler never
+    precharges a bank early, even when no queued request needs its row."""
+
+    def test_row_stays_open_with_empty_queues(self):
+        sc = make_sc()
+        sc.enqueue_read(_rreq(_addr_for(2, 1, row=7)))
+        drain_sc(sc)
+        bank = sc.banks[2 * 4 + 1]
+        assert sc.idle
+        assert bank.open_row == 7
+        assert bank.stats.precharges == 0
+
+    def test_only_a_conflict_precharges(self):
+        sc = make_sc()
+        for row, col in ((7, 0), (7, 4), (9, 0)):
+            sc.enqueue_read(_rreq(_addr_for(2, 1, row=row, col=col)))
+            drain_sc(sc)
+        bank = sc.banks[2 * 4 + 1]
+        assert sc.stats.read_row_hits == 1
+        assert sc.stats.read_row_conflicts == 1
+        assert bank.stats.precharges == 1
+        assert bank.open_row == 9

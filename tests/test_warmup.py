@@ -130,6 +130,38 @@ class TestWarmStateSnapshots:
         fresh = simulate(RunSpec("copy", cfg, 7, "copy"))
         assert _stats_dict(result) == _stats_dict(fresh)
 
+    def test_restores_are_independent_copies(self):
+        """Two systems restored from one snapshot run identically, and
+        neither shares a replacement policy or prefetcher object (or any
+        container inside one) with the donor or with the other; running
+        them leaves the snapshot's pickled policies untouched."""
+        cfg = _config().with_replacement("ship")
+        donor = System(cfg, trace_factory("copy", cfg, seed=7))
+        snapshot = donor.snapshot_warm_state()
+        frozen = [c.policies for c in snapshot.caches]
+        systems = []
+        for _ in range(2):
+            system = System(cfg, trace_factory("copy", cfg, seed=7))
+            system.restore_warm_state(snapshot)
+            systems.append(system)
+
+        def owned(system):
+            objs = []
+            for cache in system._warm_caches():
+                for obj in (cache.repl, cache.prefetcher):
+                    if obj is not None:
+                        objs.append(obj)
+                        objs.extend(v for v in vars(obj).values()
+                                    if isinstance(v, (list, dict)))
+            return {id(o) for o in objs}
+
+        first, second = (owned(s) for s in systems)
+        assert not first & second
+        assert not (first | second) & owned(donor)
+        results = [s.run(label="copy") for s in systems]
+        assert _stats_dict(results[0]) == _stats_dict(results[1])
+        assert [c.policies for c in snapshot.caches] == frozen
+
     def test_detailed_mode_cannot_snapshot(self):
         cfg = _config("detailed")
         system = System(cfg, trace_factory("copy", cfg, seed=7))
