@@ -32,8 +32,8 @@ class RunResult:
     bard_accuracy: Optional[BardAccuracy] = None
     llc_demand_accesses: int = 0
     #: Engine events dispatched over the whole run (warmup + measurement);
-    #: deterministic in (config, workload, seed) and the denominator-free
-    #: numerator of the perf harness's events/sec metric.
+    #: deterministic in (config, workload, seed); perfbench reports it
+    #: as ``sim.engine.events``.
     events: int = 0
     #: CPU cycles core issue stalled on L1D MSHR-pipeline backpressure,
     #: summed over cores (0 unless ``mshr_pipeline`` is on somewhere).

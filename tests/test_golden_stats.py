@@ -1,12 +1,12 @@
-"""Golden-stats regression: the perf scenarios' results are pinned.
+"""Golden-stats regression: four small runs' results are pinned.
 
 Every hot-path optimisation PR must leave simulation *results* untouched:
 the engine refactor contract is "same events, same statistics, less host
-time".  These tests replay one small run per perf scenario (the same
-scenario definitions :mod:`repro.perf` times) and compare every counter
-in the resulting :class:`~repro.sim.results.RunResult` against values
-captured from the seed implementation (commit 74a1c56), stored in
-``tests/data/golden_stats.json``.
+time".  These tests replay four small runs (each described in
+``tests/data/golden_stats.json`` by its preset, workload, seed, budgets
+and optional MSHR file size) and compare every counter in the resulting
+:class:`~repro.sim.results.RunResult` against values captured from the
+seed implementation (commit 74a1c56), stored in the same file.
 
 The engine event counts (``events_fired``) are not the seed's; every
 ``stats`` counter is.  Two changes fired fewer events for the same
@@ -15,7 +15,7 @@ per CPU cycle and now sleep until the L1D unstalls
 (:func:`test_mshr_stalls_cost_no_events`).  And the DRAM sub-channel
 scheduler used to be kicked on every request arrival and retried while
 it had nothing to issue; now it runs only when it can issue, which cut
-all four scenarios' events by 17-21%
+all four runs' events by 17-21%
 (:func:`test_every_dram_scheduler_tick_issues`).
 
 If one of these tests fails, the change altered simulation behaviour -
@@ -27,14 +27,16 @@ from __future__ import annotations
 
 import functools
 import json
+from dataclasses import replace
 from pathlib import Path
 from typing import Tuple
 
 import pytest
 
+from repro.config import presets
+from repro.config.system import SystemConfig
 from repro.dram.channel import Channel
 from repro.experiment.session import Session
-from repro.perf import SCENARIOS, scenario_config
 from repro.sim.results import RunResult
 from repro.sim.system import System
 from repro.workloads.suites import trace_factory
@@ -44,7 +46,16 @@ GOLDEN_PATH = Path(__file__).parent / "data" / "golden_stats.json"
 with open(GOLDEN_PATH) as _f:
     GOLDEN = json.load(_f)
 
-_SCENARIOS_BY_NAME = {s.name: s for s in SCENARIOS}
+
+def golden_config(name: str) -> SystemConfig:
+    """The system config of one golden run, built from its metadata."""
+    golden = GOLDEN[name]
+    config = replace(getattr(presets, golden["preset"])(),
+                     warmup_instructions=golden["warmup_instructions"],
+                     sim_instructions=golden["sim_instructions"])
+    if "mshrs" in golden:
+        config = config.with_mshrs(golden["mshrs"])
+    return config
 
 
 def collect_stats(result: RunResult) -> dict:
@@ -68,7 +79,7 @@ def collect_stats(result: RunResult) -> dict:
         out[f"llc.{f}"] = getattr(llc, f)
     out["llc.mshr_occupancy_hist"] = list(llc.mshr_occupancy_hist)
     # Core-side issue stalls from MSHR-pipeline back-pressure (zero for
-    # every legacy-regime scenario by construction).
+    # every legacy-regime golden run by construction).
     out["mshr_stall_cycles"] = result.mshr_stall_cycles
     dram = result.dram
     for f in ("reads_issued", "writes_issued", "read_row_hits",
@@ -89,13 +100,12 @@ def collect_stats(result: RunResult) -> dict:
 
 @functools.lru_cache(maxsize=None)
 def run_golden(name: str) -> Tuple[int, RunResult]:
-    """``(engine events fired, result)`` of one golden scenario's run."""
+    """``(engine events fired, result)`` of one golden run."""
     golden = GOLDEN[name]
-    scenario = _SCENARIOS_BY_NAME[name]
-    config = scenario_config(scenario, golden=True)
-    factory = trace_factory(scenario.workload, config, seed=golden["seed"])
+    config = golden_config(name)
+    factory = trace_factory(golden["workload"], config, seed=golden["seed"])
     system = System(config, factory)
-    result = system.run(label=scenario.workload)
+    result = system.run(label=golden["workload"])
     return system.engine.events_fired, result
 
 
@@ -103,13 +113,6 @@ def run_golden(name: str) -> Tuple[int, RunResult]:
 class TestGoldenStats:
     def test_matches_seed_implementation(self, name):
         golden = GOLDEN[name]
-        scenario = _SCENARIOS_BY_NAME[name]
-        assert scenario.workload == golden["workload"]
-        assert scenario.preset == golden["preset"]
-        config = scenario_config(scenario, golden=True)
-        assert config.warmup_instructions == golden["warmup_instructions"]
-        assert config.sim_instructions == golden["sim_instructions"]
-
         events_fired, result = run_golden(name)
         got = collect_stats(result)
         want = golden["stats"]
@@ -121,7 +124,7 @@ class TestGoldenStats:
         )
         # The refactored engine also dispatches the exact same events.
         assert events_fired == golden["events_fired"]
-        # RunResult.events carries the same number out to the perf harness.
+        # RunResult.events carries the same number out to its callers.
         assert result.events == golden["events_fired"]
 
 
@@ -148,11 +151,10 @@ def test_every_dram_scheduler_tick_issues(monkeypatch):
 
     monkeypatch.setattr(Channel, "_tick_sc", counted)
     golden = GOLDEN["graph_mix"]
-    scenario = _SCENARIOS_BY_NAME["graph_mix"]
-    config = scenario_config(scenario, golden=True)
-    system = System(config, trace_factory(scenario.workload, config,
+    config = golden_config("graph_mix")
+    system = System(config, trace_factory(golden["workload"], config,
                                           seed=golden["seed"]))
-    result = system.run(label=scenario.workload)
+    result = system.run(label=golden["workload"])
     issued = sum(bank.stats.reads + bank.stats.writes
                  for channel in system.channels
                  for sc in channel.subchannels for bank in sc.banks)
@@ -162,13 +164,12 @@ def test_every_dram_scheduler_tick_issues(monkeypatch):
 
 
 def test_session_path_produces_identical_results():
-    """The Session entry point (what the perf harness times) matches a
-    direct System run for a golden scenario."""
+    """The Session entry point (the path perfbench times) matches a
+    direct System run for a golden run."""
     name = "write_stream"
     golden = GOLDEN[name]
-    scenario = _SCENARIOS_BY_NAME[name]
-    config = scenario_config(scenario, golden=True)
-    result = Session(cache=False).run_one(config, scenario.workload,
+    result = Session(cache=False).run_one(golden_config(name),
+                                          golden["workload"],
                                           seed=golden["seed"])
     got = collect_stats(result)
     mismatched = {k: (golden["stats"][k], got.get(k))
