@@ -18,7 +18,7 @@ optionally parallel), and query the results::
     bard = rs.speedup_vs("policy").filter(policy="bard-h")
     print(f"BARD-H gmean speedup: {bard.gmean_speedup_pct():+.2f}%")
 
-Single runs stay one call: ``run_workload(small_8core(), "lbm")``.
+Single runs stay one call: ``Session().run_one(small_8core(), "lbm")``.
 """
 
 from repro.adaptive import AdaptivePolicy, AdaptiveReport
@@ -45,14 +45,7 @@ from repro.experiment import (
     make_axis,
 )
 from repro.sampling import MetricEstimate, SamplingConfig, SamplingSummary
-from repro.sim import (
-    PolicyComparison,
-    RunResult,
-    System,
-    compare_policies,
-    gmean_speedups,
-    run_workload,
-)
+from repro.sim import RunResult, System
 from repro.workloads import (
     ALL_WORKLOADS,
     MIXES,
@@ -76,7 +69,6 @@ __all__ = [
     "ExperimentSpec",
     "MIXES",
     "Observation",
-    "PolicyComparison",
     "ResultCache",
     "ResultSet",
     "RunPlan",
@@ -91,14 +83,11 @@ __all__ = [
     "SystemConfig",
     "WORKLOADS",
     "__version__",
-    "compare_policies",
     "default_config",
-    "gmean_speedups",
     "make_axis",
     "make_bard",
     "paper_8core",
     "paper_16core",
-    "run_workload",
     "small_8core",
     "small_16core",
     "trace_factory",

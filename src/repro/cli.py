@@ -79,10 +79,6 @@ _POLICY_CHOICES = ["baseline", "bard-e", "bard-c", "bard-h", "eager", "vwq"]
 _log = get_logger("cli")
 
 
-def _policy_arg(name: str) -> Optional[str]:
-    return policy_arg(name)
-
-
 def _build_config(args) -> SystemConfig:
     cfg = _PRESETS[args.preset]()
     if getattr(args, "replacement", None):
@@ -350,7 +346,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_run(args) -> int:
     cfg = _build_config(args)
-    cfg = cfg.with_writeback(_policy_arg(args.policy))
+    cfg = cfg.with_writeback(policy_arg(args.policy))
     spec = ExperimentSpec(workloads=args.workload, configs=cfg,
                           seeds=args.seed, name=f"run:{args.workload}")
     session = _session(args)
@@ -370,7 +366,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfg = _build_config(args)
-    policies = [_policy_arg(p) for p in args.policies]
+    policies = [policy_arg(p) for p in args.policies]
     if policies[0] is not None:
         policies.insert(0, None)
     # ExperimentSpec dedupes repeated policies (e.g. `--policies bard-h
@@ -427,7 +423,7 @@ def _grid_spec(args, name: str) -> ExperimentSpec:
             raise ConfigError(f"duplicate --axis {axis_name!r}")
         seen_axes.add(axis_name)
         if axis_name == "policy":
-            policies = [_policy_arg(v) for v in values]
+            policies = [policy_arg(v) for v in values]
         elif axis_name in AXIS_MODIFIERS:
             axes.append(make_axis(axis_name, values))
         else:
@@ -733,7 +729,7 @@ def _cmd_jobs(args) -> int:
 def _cmd_trace(args) -> int:
     """Run one workload with telemetry on; write a Chrome trace JSON."""
     cfg = _build_config(args)
-    cfg = cfg.with_writeback(_policy_arg(args.policy))
+    cfg = cfg.with_writeback(policy_arg(args.policy))
     spec = ExperimentSpec(workloads=args.workload, configs=cfg,
                           seeds=args.seed,
                           name=f"trace:{args.workload}")

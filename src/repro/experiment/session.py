@@ -33,8 +33,8 @@ from repro.experiment.cache import ResultCache
 from repro.experiment.execute import KeyedSpec, iter_group, simulate, \
     simulate_group
 from repro.experiment.resultset import ResultSet, from_points
-from repro.experiment.spec import ExperimentSpec, RunPlan, RunSpec, \
-    warm_group_key
+from repro.experiment.spec import ExperimentSpec, GridPoint, RunPlan, \
+    RunSpec, warm_group_key
 from repro.sim.results import RunResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -265,27 +265,18 @@ class Session:
 
     def run_one(self, config: SystemConfig, workload: str, seed: int = 7,
                 label: Optional[str] = None) -> RunResult:
-        """One simulation through the same memo/cache path as plans."""
+        """One simulation, run as a one-point plan through :meth:`run`.
+
+        It shares the memo, the disk cache, warm checkpoints and
+        telemetry with grid runs.  A :class:`ConfigError` propagates
+        as-is; any other failure surfaces as :class:`SessionInterrupted`,
+        as it does for :meth:`run`.
+        """
         spec = RunSpec(workload=workload, config=config, seed=seed,
                        label=label or workload)
-        key = spec.key()
-        self.stats.planned += 1
-        self.stats.unique += 1
-        if key in self._memo:
-            self.stats.memo_hits += 1
-            result = self._memo[key]
-        else:
-            result = self.cache.get(key) if self.cache else None
-            if result is not None:
-                self.stats.disk_hits += 1
-            else:
-                result = simulate(spec)
-                self.stats.simulated += 1
-                if spec.config.warmup_instructions > 0:
-                    self.stats.warmups_executed += 1
-                if self.cache:
-                    self.cache.put(key, spec, result)
-            self._memo[key] = result
+        point = GridPoint(coords={"workload": workload, "seed": seed},
+                          spec=spec)
+        result = self.run(RunPlan(None, [point])).only().result
         if label and result.label != label:
             result = replace(result, label=label)
         return result

@@ -1,23 +1,13 @@
-"""Simulation infrastructure: engine, system builder, runner, results."""
+"""Simulation infrastructure: engine, system builder, results."""
 
 from repro.sim.engine import Engine
 from repro.sim.memctrl import MemoryController
 from repro.sim.results import RunResult
-from repro.sim.runner import (
-    PolicyComparison,
-    compare_policies,
-    gmean_speedups,
-    run_workload,
-)
 from repro.sim.system import System
 
 __all__ = [
     "Engine",
     "MemoryController",
-    "PolicyComparison",
     "RunResult",
     "System",
-    "compare_policies",
-    "gmean_speedups",
-    "run_workload",
 ]

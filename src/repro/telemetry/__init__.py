@@ -116,14 +116,13 @@ def publish_run_result(result: Any, workload: str = "",
     """
     if not enabled():
         return
-    labels = {"workload": workload or getattr(result, "workload", ""),
-              "policy": policy or getattr(result, "policy", "")}
+    labels = {"workload": workload, "policy": policy}
     runs = REGISTRY.counter(
         "repro_runs_total", "Simulation runs completed",
         ("workload", "policy"))
     runs.labels(**labels).inc()
     for metric, attr in (
-            ("repro_run_events_total", "events_fired"),
+            ("repro_run_events_total", "events"),
             ("repro_run_instructions_total", "instructions"),
             ("repro_run_ticks_total", "elapsed_ticks")):
         value = getattr(result, attr, None)

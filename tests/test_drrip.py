@@ -83,9 +83,9 @@ class TestVictimAndOrder:
 class TestIntegrationWithBard:
     def test_bard_runs_with_drrip(self):
         from tests.conftest import tiny_config
-        from repro.sim.runner import run_workload
+        from repro.experiment import Session
 
         cfg = tiny_config(llc_writeback="bard-h").with_replacement("drrip")
-        r = run_workload(cfg, "copy")
+        r = Session(cache=False).run_one(cfg, "copy")
         assert r.instructions > 0
         assert r.wb_stats.victim_selections > 0

@@ -35,8 +35,7 @@ class TestPublicAPI:
             assert hasattr(repro, name), f"missing export {name}"
 
     def test_headline_entry_points(self):
-        assert callable(repro.run_workload)
-        assert callable(repro.compare_policies)
+        assert callable(repro.Session.run_one)
         assert callable(repro.small_8core)
         assert callable(repro.make_bard)
 

@@ -1,4 +1,5 @@
-"""Examples: every script must at least parse and expose a main().
+"""Examples: every script must parse, expose a main() and import only
+names that repro still exports.
 
 Running the examples end-to-end takes minutes (they use the full
 small-8core system); importability and structure are what unit tests can
@@ -6,6 +7,7 @@ cheaply guarantee.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -46,3 +48,17 @@ def test_example_uses_public_api(path):
         elif isinstance(node, ast.Import):
             modules.update(a.name.split(".")[0] for a in node.names)
     assert "repro" in modules, f"{path.name} never imports repro"
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)
+def test_example_repro_imports_resolve(path):
+    """Every name an example imports from repro must still exist."""
+    tree = ast.parse(path.read_text())
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ImportFrom) and node.module
+                and node.module.split(".")[0] == "repro"):
+            continue
+        module = importlib.import_module(node.module)
+        for alias in node.names:
+            assert hasattr(module, alias.name), (
+                f"{path.name}: {node.module} has no {alias.name!r}")

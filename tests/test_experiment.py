@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import telemetry
 from repro.errors import ConfigError
 from repro.experiment import (
     Axis,
@@ -16,7 +17,6 @@ from repro.experiment import (
     result_to_dict,
 )
 from repro.experiment import session as session_mod
-from repro.sim.runner import compare_policies
 
 from .conftest import tiny_config
 
@@ -298,6 +298,36 @@ class TestExecution:
         assert a.label == "first" and b.label == "second"
         assert a.elapsed_ticks == b.elapsed_ticks
 
+    def test_run_one_publishes_telemetry_once_per_simulation(self):
+        def runs():
+            return telemetry.registry_value(
+                "repro_runs_total", workload="lbm", policy="baseline")
+
+        session = Session(cache=False)
+        telemetry.enable()
+        try:
+            before = runs()
+            session.run_one(tiny_config(), "lbm")
+            fresh = runs()
+            session.run_one(tiny_config(), "lbm")
+            hit = runs()
+        finally:
+            telemetry.disable()
+        assert fresh - before == 1
+        assert hit - fresh == 0
+
+    def test_run_one_shares_warm_checkpoints_across_calls(self):
+        base = tiny_config(warmup_mode="functional")
+        bard = tiny_config(warmup_mode="functional", llc_writeback="bard-h")
+        session = Session(cache=False)
+        shared = [session.run_one(base, "lbm"),
+                  session.run_one(bard, "lbm")]
+        assert session.stats.warmups_executed == 1
+        assert session.stats.checkpoint_restores == 1
+        fresh = [Session(cache=False).run_one(cfg, "lbm")
+                 for cfg in (base, bard)]
+        assert shared == fresh
+
     def test_progress_callback(self):
         seen = []
         spec = ExperimentSpec(workloads=["lbm", "copy"],
@@ -308,7 +338,7 @@ class TestExecution:
         assert [s[:2] for s in seen] == [(1, 2), (2, 2)]
 
 
-class TestComparePoliciesShim:
+class TestBaselineDedupInSpec:
     def test_duplicate_baseline_runs_once(self, monkeypatch):
         calls = []
         real = session_mod.simulate
@@ -318,8 +348,8 @@ class TestComparePoliciesShim:
             return real(spec)
 
         monkeypatch.setattr(session_mod, "simulate", counting)
-        comp = compare_policies(tiny_config(), "lbm",
-                                [None, "bard-h", None])
+        spec = ExperimentSpec(workloads="lbm", configs=tiny_config(),
+                              policies=[None, "bard-h", None])
+        rs = Session(cache=False).run(spec)
         assert len(calls) == 2
-        assert set(comp.results) == {"baseline", "bard-h"}
-        assert comp.baseline == "baseline"
+        assert rs.axis_values("policy") == ["baseline", "bard-h"]

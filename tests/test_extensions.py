@@ -15,7 +15,7 @@ from repro.dram.mapping import ZenMapping
 from repro.dram.subchannel import SubChannel
 from repro.dram.timing import ddr5_4800_x4
 from repro.errors import ConfigError
-from repro.sim.runner import run_workload
+from repro.experiment import Session
 
 from .conftest import tiny_config
 
@@ -54,8 +54,9 @@ class TestRefreshModel:
         assert sc.refreshes_performed == 0
 
     def test_refresh_slows_system(self):
-        base = run_workload(tiny_config(), "copy")
-        slow = run_workload(tiny_config().with_refresh(), "copy")
+        base = Session(cache=False).run_one(tiny_config(), "copy")
+        slow = Session(cache=False).run_one(
+            tiny_config().with_refresh(), "copy")
         assert slow.mean_ipc <= base.mean_ipc * 1.02
 
 
@@ -86,7 +87,8 @@ class TestDrainPolicyAblation:
 
     def test_fcfs_config_runs(self):
         # lbm is write-heavy enough to trip the watermark on 2 tiny cores.
-        r = run_workload(tiny_config().with_drain_policy("fcfs"), "lbm")
+        r = Session(cache=False).run_one(
+            tiny_config().with_drain_policy("fcfs"), "lbm")
         assert r.dram.writes_issued > 0
 
 
@@ -101,22 +103,24 @@ class TestFrozenTracker:
 
 class TestBandwidthReport:
     def test_overhead_is_architectural_ratio(self):
-        r = run_workload(tiny_config(llc_writeback="bard-h"), "copy")
+        r = Session(cache=False).run_one(
+            tiny_config(llc_writeback="bard-h"), "copy")
         bw = bandwidth_report(r)
         expected = 100 * SYNC_BITS / (WRITEBACK_BYTES * 8)
         assert bw.overhead_pct == pytest.approx(expected, abs=0.05)
 
     def test_scales_with_writebacks(self):
-        r = run_workload(tiny_config(), "copy")
+        r = Session(cache=False).run_one(tiny_config(), "copy")
         assert bandwidth_report(r, scale=32).writeback_gbps == (
             pytest.approx(2 * bandwidth_report(r, scale=16).writeback_gbps))
 
 
 class TestReports:
     def test_comparison_report_contents(self):
-        base = run_workload(tiny_config(), "copy", label="baseline")
-        bard = run_workload(tiny_config(llc_writeback="bard-h"), "copy",
-                            label="bard-h")
+        base = Session(cache=False).run_one(
+            tiny_config(), "copy", label="baseline")
+        bard = Session(cache=False).run_one(
+            tiny_config(llc_writeback="bard-h"), "copy", label="bard-h")
         text = comparison_report(base, bard, workload="copy")
         assert "write BLP" in text
         assert "weighted speedup" in text
@@ -124,6 +128,6 @@ class TestReports:
         assert "sync bandwidth" in text
 
     def test_characterization_report(self):
-        r = run_workload(tiny_config(), "copy")
+        r = Session(cache=False).run_one(tiny_config(), "copy")
         text = characterization_report([("copy", r)])
         assert "copy" in text and "WBLP" in text

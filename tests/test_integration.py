@@ -7,7 +7,7 @@ well under a second; behavioural assertions mirror the paper's mechanisms.
 import pytest
 
 from repro.core.bard import BardPolicy
-from repro.sim.runner import compare_policies, run_workload
+from repro.experiment import ExperimentSpec, Session
 from repro.sim.system import System
 from repro.workloads import trace_factory
 
@@ -17,13 +17,13 @@ from .conftest import tiny_config
 @pytest.fixture(scope="module")
 def baseline_result():
     cfg = tiny_config()
-    return run_workload(cfg, "lbm")
+    return Session(cache=False).run_one(cfg, "lbm")
 
 
 @pytest.fixture(scope="module")
 def bard_result():
     cfg = tiny_config(llc_writeback="bard-h")
-    return run_workload(cfg, "lbm")
+    return Session(cache=False).run_one(cfg, "lbm")
 
 
 class TestBaselineRun:
@@ -83,22 +83,24 @@ class TestBardRun:
 class TestIdealRun:
     def test_ideal_w2w_is_3_33ns(self):
         cfg = tiny_config().with_ideal_writes()
-        r = run_workload(cfg, "lbm")
+        r = Session(cache=False).run_one(cfg, "lbm")
         assert r.mean_w2w_ns == pytest.approx(10 / 3, abs=0.05)
 
     def test_ideal_reduces_write_time(self, baseline_result):
         cfg = tiny_config().with_ideal_writes()
-        r = run_workload(cfg, "lbm")
+        r = Session(cache=False).run_one(cfg, "lbm")
         assert r.time_writing_pct < baseline_result.time_writing_pct
 
 
 class TestComparisons:
-    def test_compare_policies_baseline_first(self):
-        cfg = tiny_config()
-        comp = compare_policies(cfg, "copy", [None, "bard-h"])
-        assert comp.baseline == "baseline"
-        assert comp.speedup_pct("baseline") == pytest.approx(0.0)
-        assert isinstance(comp.speedup_pct("bard-h"), float)
+    def test_policy_grid_baseline_first(self):
+        spec = ExperimentSpec(workloads="copy", configs=tiny_config(),
+                              policies=[None, "bard-h"])
+        rs = Session(cache=False).run(spec)
+        assert rs.axis_values("policy") == ["baseline", "bard-h"]
+        paired = rs.speedup_vs("policy").only()
+        assert paired.baseline == rs[0].result
+        assert isinstance(paired.value("speedup_pct"), float)
 
     def test_weighted_speedup_self_is_one(self, baseline_result):
         assert baseline_result.weighted_speedup(baseline_result) == (
@@ -108,8 +110,8 @@ class TestComparisons:
 class TestDeterminism:
     def test_identical_runs_identical_results(self):
         cfg = tiny_config()
-        a = run_workload(cfg, "whiskey", seed=5)
-        b = run_workload(cfg, "whiskey", seed=5)
+        a = Session(cache=False).run_one(cfg, "whiskey", seed=5)
+        b = Session(cache=False).run_one(cfg, "whiskey", seed=5)
         assert a.ipc == b.ipc
         assert a.dram.writes_issued == b.dram.writes_issued
         assert a.elapsed_ticks == b.elapsed_ticks
@@ -119,14 +121,14 @@ class TestReplacementPolicies:
     @pytest.mark.parametrize("policy", ["lru", "srrip", "ship"])
     def test_bard_runs_under_each_policy(self, policy):
         cfg = tiny_config(llc_writeback="bard-h").with_replacement(policy)
-        r = run_workload(cfg, "copy")
+        r = Session(cache=False).run_one(cfg, "copy")
         assert r.instructions > 0
         assert r.wb_stats.victim_selections > 0
 
 
 class TestMixAndMultichannel:
     def test_mix_runs(self):
-        r = run_workload(tiny_config(), "mix0")
+        r = Session(cache=False).run_one(tiny_config(), "mix0")
         assert r.instructions > 0
 
     def test_two_channel_system(self):
@@ -134,7 +136,7 @@ class TestMixAndMultichannel:
 
         cfg = tiny_config()
         cfg = replace(cfg, dram=replace(cfg.dram, channels=2))
-        r = run_workload(cfg, "copy")
+        r = Session(cache=False).run_one(cfg, "copy")
         assert len(r.channels) == 2
         assert r.dram.reads_issued > 0
 

@@ -4,7 +4,7 @@ experiments)."""
 
 import pytest
 
-from repro.sim.runner import run_workload
+from repro.experiment import Session
 
 from .conftest import tiny_config
 
@@ -18,7 +18,7 @@ def test_each_suite_produces_write_drains(workload):
     fit 2 cores x 4k instructions entirely in cache).
     """
     cfg = tiny_config(warmup_instructions=2_000, sim_instructions=12_000)
-    r = run_workload(cfg, workload)
+    r = Session(cache=False).run_one(cfg, workload)
     assert r.dram.writes_issued > 0, f"{workload}: no writes drained"
     assert r.llc.writebacks > 0, f"{workload}: no LLC writebacks"
     assert len(r.dram.episodes) > 0, f"{workload}: no drain episodes"
@@ -26,12 +26,12 @@ def test_each_suite_produces_write_drains(workload):
 
 @pytest.mark.parametrize("workload", ["mix1", "mix5"])
 def test_mixes_produce_write_drains(workload):
-    r = run_workload(tiny_config(), workload)
+    r = Session(cache=False).run_one(tiny_config(), workload)
     assert r.dram.writes_issued > 0
 
 
 def test_prefetchers_active_in_default_profile():
-    r = run_workload(tiny_config(), "copy")
+    r = Session(cache=False).run_one(tiny_config(), "copy")
     # The stream workload must trigger prefetching somewhere (L1D Berti
     # or L2 SPP) - visible as prefetch accesses reaching the LLC stats.
     assert r.llc.accesses > 0
@@ -39,7 +39,7 @@ def test_prefetchers_active_in_default_profile():
 
 def test_episode_sizes_match_watermarks():
     """Each drain services about high-low = 32 writes (+ arrivals)."""
-    r = run_workload(tiny_config(), "lbm")
+    r = Session(cache=False).run_one(tiny_config(), "lbm")
     for ep in r.dram.episodes:
         assert 1 <= ep.writes <= 48, "episode exceeded queue capacity"
     big = [ep for ep in r.dram.episodes if ep.writes >= 30]

@@ -3,27 +3,27 @@
 import pytest
 
 from repro.analysis.report import comparison_report
-from repro.sim.runner import run_workload
+from repro.experiment import Session
 
 from .conftest import tiny_config
 
 
 @pytest.fixture(scope="module")
 def base():
-    return run_workload(tiny_config(), "lbm", label="baseline")
+    return Session(cache=False).run_one(tiny_config(), "lbm", label="baseline")
 
 
 class TestReportsForPriorWork:
     def test_eager_report(self, base):
-        ew = run_workload(tiny_config(llc_writeback="eager"), "lbm",
-                          label="eager")
+        ew = Session(cache=False).run_one(
+            tiny_config(llc_writeback="eager"), "lbm", label="eager")
         text = comparison_report(base, ew, workload="lbm")
         assert "eager" in text
         assert "decisions" in text  # EW has wb_stats too
 
     def test_vwq_report(self, base):
-        vwq = run_workload(tiny_config(llc_writeback="vwq"), "lbm",
-                           label="vwq")
+        vwq = Session(cache=False).run_one(
+            tiny_config(llc_writeback="vwq"), "lbm", label="vwq")
         text = comparison_report(base, vwq, workload="lbm")
         assert "vwq" in text
 
@@ -32,13 +32,13 @@ class TestReportsForPriorWork:
         assert "+0.00%" in text
 
     def test_no_accuracy_line_without_bard(self, base):
-        ew = run_workload(tiny_config(llc_writeback="eager"), "lbm",
-                          label="eager")
+        ew = Session(cache=False).run_one(
+            tiny_config(llc_writeback="eager"), "lbm", label="eager")
         text = comparison_report(base, ew, workload="lbm")
         assert "BLP-Tracker accuracy" not in text
 
     def test_accuracy_line_with_bard(self, base):
-        bard = run_workload(tiny_config(llc_writeback="bard-h"), "lbm",
-                            label="bard-h")
+        bard = Session(cache=False).run_one(
+            tiny_config(llc_writeback="bard-h"), "lbm", label="bard-h")
         text = comparison_report(base, bard, workload="lbm")
         assert "BLP-Tracker accuracy" in text

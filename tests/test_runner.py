@@ -1,60 +1,54 @@
-"""Runner orchestration: comparisons, gmean speedups, factories."""
+"""Running simulations: policy comparison grids and single runs."""
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.sim.runner import (
-    PolicyComparison,
-    compare_policies,
-    gmean_speedups,
-    run_workload,
-)
+from repro.experiment import ExperimentSpec, Session
 
 from .conftest import tiny_config
 
 
 @pytest.fixture(scope="module")
 def comparison():
-    return compare_policies(tiny_config(), "lbm", [None, "bard-h", "eager"])
+    spec = ExperimentSpec(workloads="lbm", configs=tiny_config(),
+                          policies=[None, "bard-h", "eager"])
+    return Session(cache=False).run(spec)
 
 
 class TestComparePolicies:
     def test_all_policies_present(self, comparison):
-        assert set(comparison.results) == {"baseline", "bard-h", "eager"}
+        assert set(comparison.axis_values("policy")) == {
+            "baseline", "bard-h", "eager"}
+
+    def test_baseline_first(self, comparison):
+        assert comparison.axis_values("policy")[0] == "baseline"
 
     def test_baseline_speedup_zero(self, comparison):
-        assert comparison.speedup_pct("baseline") == pytest.approx(0.0)
+        base = comparison.filter(policy="baseline").only().result
+        assert base.speedup_pct(base) == pytest.approx(0.0)
+        paired = comparison.speedup_vs("policy")
+        assert set(paired.axis_values("policy")) == {"bard-h", "eager"}
+        assert all(obs.baseline == base for obs in paired)
 
     def test_results_labeled(self, comparison):
-        assert comparison.results["bard-h"].label == "bard-h"
+        obs = comparison.filter(policy="bard-h").only()
+        assert obs.result.label == "lbm/bard-h"
 
     def test_same_instruction_counts(self, comparison):
-        counts = {r.instructions for r in comparison.results.values()}
-        assert len(counts) == 1
-
-
-class TestGmeanSpeedups:
-    def test_across_comparisons(self, comparison):
-        other = compare_policies(tiny_config(), "copy", [None, "bard-h"])
-        # Restrict to the shared policy.
-        val = gmean_speedups([comparison, other], "bard-h")
-        assert isinstance(val, float)
-
-    def test_identity(self, comparison):
-        assert gmean_speedups([comparison], "baseline") == (
-            pytest.approx(0.0))
+        assert len(set(comparison.metric("instructions"))) == 1
 
 
 class TestRunWorkload:
     def test_label_defaults_to_workload(self):
-        r = run_workload(tiny_config(), "copy")
+        r = Session(cache=False).run_one(tiny_config(), "copy")
         assert r.label == "copy"
 
     def test_seed_changes_results(self):
-        a = run_workload(tiny_config(), "cf", seed=1)
-        b = run_workload(tiny_config(), "cf", seed=2)
+        session = Session(cache=False)
+        a = session.run_one(tiny_config(), "cf", seed=1)
+        b = session.run_one(tiny_config(), "cf", seed=2)
         assert a.elapsed_ticks != b.elapsed_ticks
 
     def test_unknown_workload_raises(self):
         with pytest.raises(ConfigError):
-            run_workload(tiny_config(), "quake4")
+            Session(cache=False).run_one(tiny_config(), "quake4")

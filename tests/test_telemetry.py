@@ -260,6 +260,8 @@ class TestPhaseBreakdown:
         finally:
             telemetry.disable()
         assert snap["repro_runs_total"]["copy,baseline"] == 1
+        assert snap["repro_run_events_total"]["copy,baseline"] == \
+            result.events
         assert "repro_phase_seconds_total" in snap
 
     def test_phase_breakdown_survives_serialisation(self):
