@@ -159,12 +159,11 @@ def adaptive(quick):
     if quick:
         warm, sim, plan = 5_000, 50_000, SamplingConfig(
             intervals=4, interval_instructions=500, warm_instructions=300,
-            detailed_warm_instructions=200, max_intervals=64)
+            detailed_warm_instructions=200)
     else:
         warm, sim, plan = 20_000, 200_000, SamplingConfig(
             intervals=4, interval_instructions=1_000,
-            warm_instructions=1_000, detailed_warm_instructions=1_000,
-            max_intervals=64)
+            warm_instructions=1_000, detailed_warm_instructions=1_000)
     config = _config(warm, sim).with_warmup_mode("functional")
     policy = AdaptivePolicy(metric="write_blp", target_relative_error=0.02,
                             start_intervals=plan.intervals, max_rounds=3)

@@ -39,6 +39,9 @@ from repro.errors import ConfigError
 from repro.experiment.spec import RunPlan, RunSpec
 from repro.sim.results import RunResult
 
+#: Ceiling of every cell's interval ladder (the epoch may cap it lower).
+MAX_INTERVALS = 64
+
 
 def _counter(name: str, help_text: str) -> Any:
     """Always-on operational counter (the service/queue pattern)."""
@@ -122,8 +125,7 @@ class AdaptivePlanner:
             base = config.sampling
             interval_len = base.interval_instructions if base is not None \
                 else 1_000
-            max_intervals = base.max_intervals if base is not None else 64
-            cap = min(max_intervals,
+            cap = min(MAX_INTERVALS,
                       config.sim_instructions // max(1, interval_len))
             if cap < 2:
                 raise ConfigError(
@@ -278,7 +280,10 @@ class AdaptivePlanner:
                     if decided:
                         cell.stop = "decided"
                         continue
-                    if cell.rel_error <= policy.target_relative_error:
+                    # A zero mean carries no relative precision (its
+                    # relative error is 0/0), so it never meets the target.
+                    if cell.mean != 0.0 and \
+                            cell.rel_error <= policy.target_relative_error:
                         cell.stop = "target-met"
                         continue
                 if cell.rounds >= policy.max_rounds:

@@ -56,7 +56,7 @@ class AdaptivePolicy:
     #: Ladder growth factor between rounds (next = ceil(n * growth)).
     growth: float = 2.0
     #: What happens when a cell needs more intervals than fit the epoch
-    #: (or its plan's ``max_intervals``): ``"full"`` re-plans it as an
+    #: (or the planner's ``MAX_INTERVALS``): ``"full"`` re-plans it as an
     #: unsampled full-detail run, ``"stop"`` accepts the residual CI.
     escalation: str = "full"
     #: The axis the comparison is decided along.  Cells sharing every

@@ -105,25 +105,17 @@ def _build_config(args) -> SystemConfig:
 def _apply_sampling(args, cfg: SystemConfig) -> SystemConfig:
     """Attach a sampling plan built from the ``--sample*`` flags, if any.
 
-    ``--sample``/``--sample-error`` switch the run to interval sampling;
-    that requires functional warmup, so the mode is upgraded
-    automatically unless the user pinned ``--warmup-mode detailed`` - an
-    invalid combination that surfaces as a :class:`ConfigError`.
+    ``--sample`` switches the run to interval sampling; that requires
+    functional warmup, so the mode is upgraded automatically unless the
+    user pinned ``--warmup-mode detailed`` - an invalid combination that
+    surfaces as a :class:`ConfigError`.
     """
-    enabled = getattr(args, "sample", None) is not None \
-        or getattr(args, "sample_error", None) is not None
-    if not enabled:
+    if getattr(args, "sample", None) is None:
         return cfg
     if cfg.warmup_mode != "functional" \
             and getattr(args, "warmup_mode", None) is None:
         cfg = cfg.with_warmup_mode("functional")
-    kwargs = {}
-    if args.sample is not None:
-        kwargs["intervals"] = args.sample
-        # max_intervals is an adaptive-mode knob with no CLI flag; keep
-        # it out of the user's way for large fixed-count plans.
-        kwargs["max_intervals"] = max(SamplingConfig().max_intervals,
-                                      args.sample)
+    kwargs = {"intervals": args.sample}
     if getattr(args, "sample_interval", None) is not None:
         kwargs["interval_instructions"] = args.sample_interval
     if getattr(args, "sample_period", None) is not None:
@@ -134,8 +126,6 @@ def _apply_sampling(args, cfg: SystemConfig) -> SystemConfig:
         kwargs["scheme"] = args.sample_scheme
     if getattr(args, "sample_seed", None) is not None:
         kwargs["scheme_seed"] = args.sample_seed
-    if getattr(args, "sample_error", None) is not None:
-        kwargs["target_relative_error"] = args.sample_error / 100.0
     return cfg.with_sampling(SamplingConfig(**kwargs))
 
 
@@ -237,11 +227,6 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sample-seed", dest="sample_seed", type=int,
                         metavar="N",
                         help="placement seed for --sample-scheme random")
-    parser.add_argument("--sample-error", dest="sample_error", type=float,
-                        metavar="PCT",
-                        help="adaptive sampling: keep adding intervals "
-                             "until the mean-IPC CI half-width is within "
-                             "PCT%% of the mean")
 
 
 def _add_adaptive_args(parser: argparse.ArgumentParser) -> None:

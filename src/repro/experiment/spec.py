@@ -208,7 +208,7 @@ def _apply_sample_axis(cfg: SystemConfig, value: str) -> SystemConfig:
     base = cfg.sampling if cfg.sampling is not None else SamplingConfig()
     if cfg.warmup_mode != "functional":
         cfg = cfg.with_warmup_mode("functional")
-    return cfg.with_sampling(base.with_intervals(int(value)))
+    return cfg.with_sampling(dataclasses.replace(base, intervals=int(value)))
 
 
 def _truthy(value: str) -> bool:

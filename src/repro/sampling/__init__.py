@@ -16,7 +16,7 @@ intervals instead of one monolithic measurement::
 The pieces:
 
 * :class:`~repro.sampling.config.SamplingConfig` - the plan (interval
-  length, period, count, placement scheme, adaptive error target);
+  length, period, count, placement scheme);
   plugs into :class:`~repro.config.system.SystemConfig` and is part of
   every run's content hash.
 * :mod:`repro.sampling.stats` - means, confidence intervals, relative

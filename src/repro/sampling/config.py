@@ -43,14 +43,9 @@ class SamplingConfig:
     within each period window is either ``periodic`` (at the window
     start) or ``random`` (uniform in the window, deterministic in
     ``scheme_seed``).
-
-    When ``target_relative_error`` is set, the run becomes *adaptive*: it
-    keeps sampling past ``intervals`` (at the same period) until the mean
-    IPC's relative CI half-width reaches the target or ``max_intervals``
-    is hit.
     """
 
-    #: Measurement intervals to run (the minimum count in adaptive mode).
+    #: Measurement intervals to run.
     intervals: int = 10
     #: Detailed instructions measured per interval, per core.
     interval_instructions: int = 1_000
@@ -73,11 +68,6 @@ class SamplingConfig:
     scheme_seed: int = 1
     #: Confidence level for the reported intervals (CLT, two-sided).
     confidence: float = 0.95
-    #: Adaptive mode: keep sampling until the mean-IPC CI half-width over
-    #: mean is at most this (e.g. ``0.02`` for 2%).  ``None`` disables.
-    target_relative_error: Optional[float] = None
-    #: Hard cap on intervals in adaptive mode.
-    max_intervals: int = 64
 
     def __post_init__(self) -> None:
         if self.intervals < 1:
@@ -100,13 +90,6 @@ class SamplingConfig:
         if not 0.0 < self.confidence < 1.0:
             raise ConfigError(
                 "sampling confidence must be strictly between 0 and 1")
-        if self.target_relative_error is not None \
-                and self.target_relative_error <= 0:
-            raise ConfigError(
-                "sampling target_relative_error must be positive")
-        if self.max_intervals < self.intervals:
-            raise ConfigError(
-                "sampling max_intervals must be >= intervals")
 
     def resolve_period(self, epoch_instructions: int) -> int:
         """The concrete period for an epoch of ``epoch_instructions``.
@@ -124,23 +107,13 @@ class SamplingConfig:
                 f"{epoch_instructions}, {self.intervals} intervals)")
         return period
 
-    def with_intervals(self, intervals: int) -> "SamplingConfig":
-        """Copy of this plan with a different interval count."""
-        return replace(self, intervals=intervals,
-                       max_intervals=max(self.max_intervals, intervals))
-
     def fixed(self, intervals: int) -> "SamplingConfig":
         """A fixed-count re-plan at ``intervals``, spread over the epoch.
 
         Used by the adaptive orchestrator
-        (:meth:`~repro.experiment.spec.RunSpec.refine`): the per-run
-        adaptive stop is disabled (``target_relative_error=None``) so
-        the run's cost is exactly ``intervals`` measured intervals, and
-        a pinned period is released so a grown plan re-tiles the epoch
-        instead of overrunning it.  Everything else (interval length,
-        warming budgets, scheme, seed, confidence) is preserved.
+        (:meth:`~repro.experiment.spec.RunSpec.refine`): a pinned period
+        is released so a grown plan re-tiles the epoch instead of
+        overrunning it.  Everything else (interval length, warming
+        budgets, scheme, seed, confidence) is preserved.
         """
-        return replace(self, intervals=intervals,
-                       max_intervals=max(self.max_intervals, intervals),
-                       period_instructions=None,
-                       target_relative_error=None)
+        return replace(self, intervals=intervals, period_instructions=None)

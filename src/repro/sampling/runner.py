@@ -4,9 +4,10 @@ The interval-driven run loop itself lives on
 :meth:`repro.sim.system.System.run` (it manipulates engine, core, and
 cache internals); this module supplies the pure parts:
 
-* :func:`interval_starts` - the (possibly unbounded) sequence of interval
-  start offsets a :class:`~repro.sampling.config.SamplingConfig` places
-  in a measured epoch,
+* :func:`interval_starts` - the interval start offsets a
+  :class:`~repro.sampling.config.SamplingConfig` places in a measured
+  epoch,
+* :func:`validate_plan` - check those intervals fit the epoch,
 * :func:`aggregate_results` - fold the per-interval
   :class:`~repro.sim.results.RunResult` snapshots into one whole-run
   result carrying a :class:`~repro.sampling.stats.SamplingSummary`.
@@ -39,51 +40,42 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 def interval_starts(sampling: SamplingConfig,
                     epoch_instructions: int) -> Iterator[int]:
-    """Yield interval start offsets (instructions past the warmup end).
+    """Yield the plan's ``intervals`` start offsets (instructions past
+    the warmup end).
 
-    One interval is placed per period window.  The stream is infinite -
-    the run loop takes as many starts as the (possibly adaptive) plan
-    needs - and deterministic: the ``random`` scheme draws each window's
-    offset from a generator seeded with ``scheme_seed``, so the same
-    plan always measures the same slices of the trace.
+    One interval is placed per period window.  Placement is
+    deterministic: the ``random`` scheme draws each window's offset from
+    a generator seeded with ``scheme_seed``, so the same plan always
+    measures the same slices of the trace.
     """
     period = sampling.resolve_period(epoch_instructions)
     slack = period - sampling.interval_instructions
     rng = random.Random(sampling.scheme_seed) \
         if sampling.scheme == "random" else None
-    index = 0
-    while True:
+    for index in range(sampling.intervals):
         start = index * period
         if rng is not None:
             start += rng.randint(0, slack)
         yield start
-        index += 1
 
 
 def validate_plan(sampling: SamplingConfig,
                   epoch_instructions: int) -> int:
-    """Check the plan fits its epoch; returns the resolved period.
-
-    A fixed-count plan must place every interval inside the measured
-    epoch.  An adaptive plan (``target_relative_error`` set) may sample
-    past the nominal epoch - traces are infinite - so only the minimum
-    interval count must fit.
-    """
+    """Check every interval lies inside the epoch; returns the period."""
     period = sampling.resolve_period(epoch_instructions)
-    if sampling.target_relative_error is None:
-        # Random placement can land anywhere inside the last period
-        # window, so its worst-case span is the full window count.
-        if sampling.scheme == "random":
-            span = sampling.intervals * period
-        else:
-            span = (sampling.intervals - 1) * period \
-                + sampling.interval_instructions
-        if span > epoch_instructions:
-            raise ConfigError(
-                f"sampling plan exceeds the measured epoch: "
-                f"{sampling.intervals} intervals every {period} "
-                f"instructions span up to {span} > sim_instructions "
-                f"{epoch_instructions}")
+    # Random placement can land anywhere inside the last period window,
+    # so its worst-case span is the full window count.
+    if sampling.scheme == "random":
+        span = sampling.intervals * period
+    else:
+        span = (sampling.intervals - 1) * period \
+            + sampling.interval_instructions
+    if span > epoch_instructions:
+        raise ConfigError(
+            f"sampling plan exceeds the measured epoch: "
+            f"{sampling.intervals} intervals every {period} "
+            f"instructions span up to {span} > sim_instructions "
+            f"{epoch_instructions}")
     return period
 
 

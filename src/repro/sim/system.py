@@ -439,10 +439,6 @@ class System:
         interval counters and carries a
         :class:`~repro.sampling.stats.SamplingSummary` with per-metric
         CLT confidence intervals.
-
-        In adaptive mode (``target_relative_error`` set) intervals keep
-        coming - at the same period - until the mean-IPC relative CI
-        half-width reaches the target or ``max_intervals`` is hit.
         """
         from repro.sampling import SAMPLE_METRICS, SamplingSummary, \
             aggregate_results, collect_metric_values, interval_starts, \
@@ -460,23 +456,17 @@ class System:
 
         self.warm_up()
         run_label = label or (config.llc_writeback or "baseline")
-        # The interval the plan cannot run past: its cores stop at their
-        # budget exactly like the end of a full run (which keeps a
-        # 1-interval sample covering the epoch bit-identical to the full
-        # run); every earlier interval uses soft quotas so no core ever
-        # stops executing mid-plan.
-        last_index = (sampling.intervals
-                      if sampling.target_relative_error is None
-                      else sampling.max_intervals) - 1
+        # The last interval's cores stop at their budget exactly like the
+        # end of a full run (which keeps a 1-interval sample covering the
+        # epoch bit-identical to the full run); every earlier interval
+        # uses soft quotas so no core ever stops executing mid-plan.
+        last_index = sampling.intervals - 1
         intervals: List[RunResult] = []
         starts_used: List[int] = []
-        ipc_values: List[float] = []
         retired = [0] * len(self.cores)
         cycles = [0.0] * len(self.cores)
         consumed = 0
-        index = 0
-        while True:
-            start = next(starts)
+        for index, start in enumerate(starts):
             gap = start - consumed
             if gap > 0:
                 with telemetry.span(f"sampling.gap[{index}]",
@@ -538,11 +528,7 @@ class System:
             starts_used.append(start)
             interval_cores = core_stats if core_stats is not None \
                 else [c.stats for c in self.cores]
-            ipc_values.append(
-                sum(s.ipc for s in interval_cores) / len(interval_cores))
-            done = index == last_index \
-                or self._sampling_done(sampling, ipc_values)
-            if done:
+            if index == last_index:
                 # Close the in-flight drain episode and roll per-bank
                 # command counters up exactly once, as a full run would.
                 self.memctrl.finalize()
@@ -560,9 +546,6 @@ class System:
             for core_id, stats in enumerate(interval_cores):
                 retired[core_id] += stats.retired
                 cycles[core_id] += stats.cycles
-            if done:
-                break
-            index += 1
 
         values = collect_metric_values(intervals, SAMPLE_METRICS)
         summary = SamplingSummary(
@@ -580,19 +563,3 @@ class System:
         if self._phases is not None:
             result.phase_breakdown = dict(self._phases)
         return result
-
-    @staticmethod
-    def _sampling_done(sampling, ipc_values: List[float]) -> bool:
-        """Whether the interval just measured completes the plan."""
-        n = len(ipc_values)
-        if n < sampling.intervals:
-            return False
-        target = sampling.target_relative_error
-        if target is None:
-            return True
-        if n >= sampling.max_intervals:
-            return True
-        from repro.sampling import relative_error
-
-        return n >= 2 and \
-            relative_error(ipc_values, sampling.confidence) <= target

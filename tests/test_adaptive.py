@@ -27,14 +27,13 @@ from .conftest import tiny_config
 
 
 def sampled_config(sim=20_000, intervals=2, interval_instructions=400,
-                   max_intervals=16, **overrides):
+                   **overrides):
     cfg = tiny_config(warmup_mode="functional", sim_instructions=sim,
                       **overrides)
     return cfg.with_sampling(SamplingConfig(
         intervals=intervals,
         interval_instructions=interval_instructions,
-        warm_instructions=300, detailed_warm_instructions=200,
-        max_intervals=max_intervals))
+        warm_instructions=300, detailed_warm_instructions=200))
 
 
 def grid(workloads=("copy",), name="adaptive-grid", **config_kw):
@@ -108,7 +107,6 @@ class TestRefine:
         refined = spec.refine(intervals=8)
         assert refined.key() != spec.key()
         assert refined.config.sampling.intervals == 8
-        assert refined.config.sampling.target_relative_error is None
         assert warm_group_key(refined) == warm_group_key(spec)
 
     def test_refine_full_drops_sampling_keeps_warm_group(self):
@@ -203,12 +201,13 @@ class TestLocalOrchestration:
             sum(c.instructions for c in report.cells)
 
     def test_escalation_to_full_detail(self):
-        # Cap of 2 intervals: the first refinement outgrows sampling
-        # and escalates; the final grid mixes sampled and full cells.
-        # Singleton decision groups (compare_axis="seed") keep every
-        # cell refining instead of stopping on domination.
+        # An epoch of 2 intervals caps the ladder at 2: the first
+        # refinement outgrows sampling and escalates; the final grid
+        # mixes sampled and full cells.  Singleton decision groups
+        # (compare_axis="seed") keep every cell refining instead of
+        # stopping on domination.
         rs = Session(cache=False).run_adaptive(
-            grid(max_intervals=2, sim=8_000),
+            grid(interval_instructions=4_000, sim=8_000),
             policy(target_relative_error=1e-9, max_rounds=3,
                    compare_axis="seed"))
         report = rs.adaptive
@@ -226,7 +225,7 @@ class TestLocalOrchestration:
 
     def test_escalation_stop_accepts_residual_ci(self):
         rs = Session(cache=False).run_adaptive(
-            grid(max_intervals=2, sim=8_000),
+            grid(interval_instructions=4_000, sim=8_000),
             policy(target_relative_error=1e-9, max_rounds=3,
                    escalation="stop", compare_axis="seed"))
         report = rs.adaptive
@@ -458,8 +457,7 @@ class TestAdaptiveSmoke:
         # +21%).  Near-tied metrics like lbm's +2.9% mean IPC would
         # turn the winner check into a coin flip at sampled precision.
         spec = grid(workloads=("copy", "lbm"), sim=50_000,
-                    intervals=4, interval_instructions=500,
-                    max_intervals=64)
+                    intervals=4, interval_instructions=500)
         pol = policy(metric="write_blp", target_relative_error=0.02,
                      max_rounds=3, start_intervals=4)
 
@@ -480,6 +478,15 @@ class TestAdaptiveSmoke:
             group = f"config=default,seed=7,workload={workload}"
             assert report.winners[group] == best.coords["policy"], \
                 f"adaptive disagreed with exhaustive on {workload}"
+        # A 4-interval survey of copy reads write BLP 0.0 (relative
+        # error 0/0): that is no information, so no copy cell may stop
+        # on the error target there, and the winner is decided on
+        # nonzero estimates rather than a 0.0-vs-0.0 tie.
+        copy_cells = [c for c in report.cells
+                      if c.coords["workload"] == "copy"]
+        assert not [c for c in copy_cells
+                    if c.stop == "target-met" and c.rounds == 1]
+        assert all(c.mean > 0.0 for c in copy_cells)
 
         # (b) At least 2x fewer detailed instructions than exhaustive.
         exhaustive_cost = sum(r.instructions

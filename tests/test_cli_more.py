@@ -101,23 +101,18 @@ class TestSamplingFlags:
         assert "error:" in err
         assert "does not fit" in err
 
-    def test_negative_sample_error_is_config_error(self, capsys):
-        rc = main(["run", "copy", "--sample", "2",
-                   "--sample-error", "-1"])
-        assert rc == 2
-        assert "error:" in capsys.readouterr().err
-
     def test_large_fixed_interval_count_allowed(self, capsys):
-        # more intervals than the adaptive default cap (64); the cap is
-        # an adaptive-only knob and must not reject fixed-count plans
+        # more intervals than the adaptive planner's ladder cap (64);
+        # the cap must not reject fixed-count plans
         assert main(["run", "copy", "--sample", "100",
                      "--sample-interval", "20"]) == 0
 
-    def test_sample_error_alone_enables_sampling(self, capsys):
-        # a huge target stops at the default minimum interval count
-        assert main(["run", "copy", "--sample-error", "1000000",
-                     "--sample-interval", "300"]) == 0
-        assert "sampled" in capsys.readouterr().out
+    def test_removed_adaptive_flag_exits_2(self, capsys):
+        # the grid planner (sweep --adaptive --adaptive-error) is the
+        # only adaptive path; run has no per-run error target
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "copy", "--sample-error", "2"])
+        assert exc.value.code == 2
 
 
 class TestParserValidation:

@@ -45,16 +45,10 @@ class TestConfigValidation:
         dict(scheme="stratified"),
         dict(confidence=0.0),
         dict(confidence=1.5),
-        dict(target_relative_error=0.0),
-        dict(intervals=8, max_intervals=4),
     ])
     def test_invalid_plans_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             SamplingConfig(**kwargs)
-
-    def test_with_intervals_raises_cap(self):
-        cfg = SamplingConfig(intervals=4, max_intervals=8)
-        assert cfg.with_intervals(32).max_intervals == 32
 
 
 class TestGoldenEquivalence:
@@ -182,54 +176,6 @@ class TestSampledRun:
         system = System(cfg, trace_factory("copy", cfg, seed=7))
         with pytest.raises(SimulationError):
             system.run_sampled()
-
-
-class TestAdaptive:
-    def test_stops_at_minimum_when_target_met(self):
-        # An absurdly loose target stops at the minimum interval count.
-        cfg = sampled_tiny(SamplingConfig(
-            intervals=2, interval_instructions=300,
-            warm_instructions=200, detailed_warm_instructions=100,
-            target_relative_error=1e6, max_intervals=8))
-        result = run_system(cfg)
-        assert result.sampling.intervals == 2
-
-    def test_runs_to_cap_when_target_unreachable(self):
-        cfg = sampled_tiny(SamplingConfig(
-            intervals=2, interval_instructions=300,
-            warm_instructions=100, detailed_warm_instructions=100,
-            target_relative_error=1e-9, max_intervals=4))
-        result = run_system(cfg)
-        assert result.sampling.intervals == 4
-
-    def test_interval_count_monotone_in_target(self):
-        """Loosening the error target never buys MORE intervals."""
-        def intervals_for(target):
-            cfg = sampled_tiny(SamplingConfig(
-                intervals=2, interval_instructions=300,
-                warm_instructions=200, detailed_warm_instructions=100,
-                target_relative_error=target, max_intervals=8))
-            return run_system(cfg).sampling.intervals
-
-        targets = [0.001, 0.01, 0.05, 0.25, 10.0]
-        counts = [intervals_for(t) for t in targets]
-        assert counts == sorted(counts, reverse=True)
-        assert all(2 <= c <= 8 for c in counts)
-        assert counts[0] == 8      # unreachable target runs to the cap
-        assert counts[-1] == 2     # absurd target stops at the minimum
-
-    def test_adaptive_rerun_is_bit_identical(self):
-        """Fixed seeds make the whole adaptive loop deterministic."""
-        def once():
-            cfg = sampled_tiny(SamplingConfig(
-                intervals=2, interval_instructions=300,
-                warm_instructions=200, detailed_warm_instructions=100,
-                target_relative_error=0.05, max_intervals=8,
-                scheme="random", scheme_seed=3))
-            return run_system(cfg, seed=11)
-
-        a, b = once(), once()
-        assert dataclasses.asdict(a) == dataclasses.asdict(b)
 
 
 class TestExperimentIntegration:

@@ -88,6 +88,23 @@ class TestSubmitAndResult:
         with pytest.raises(ConfigError):
             service.submit(RunPlan(None, []))
 
+    def test_removed_sampling_fields_rejected(self, tmp_path):
+        # Payloads written before per-run adaptive sampling was removed
+        # carry sampling.target_relative_error; it is an unknown key now.
+        from repro.experiment import experiment_to_dict
+        from repro.sampling import SamplingConfig
+
+        cfg = tiny_config(warmup_mode="functional").with_sampling(
+            SamplingConfig(intervals=2, interval_instructions=400))
+        experiment = experiment_to_dict(
+            ExperimentSpec(workloads=["copy"], configs=cfg, name="old"))
+        experiment["configs"][0][1]["sampling"][
+            "target_relative_error"] = 0.02
+        service = ExperimentService(_config(tmp_path))
+        with pytest.raises(ConfigError, match="target_relative_error"):
+            service.submit_request({"experiment": experiment})
+        assert len(service.queue) == 0
+
     def test_resubmission_is_idempotent(self, tmp_path):
         service = ExperimentService(_config(tmp_path))
         first = service.submit(_grid(), tenant="alice")
