@@ -23,6 +23,7 @@ import copy
 import pickle
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, \
     Protocol, Tuple
 
@@ -157,7 +158,7 @@ class Cache:
 
         self.sets = [CacheSet(ways) for _ in range(self.num_sets)]
         # Resident-line index: one {line_addr: way} dict per set, kept in
-        # lockstep with the line array by _install/_evict.  Tag lookup is
+        # lockstep with the line array by _install.  Tag lookup is
         # the most frequent cache operation, and the dict makes it O(1)
         # instead of a scan over the ways.
         self._tags: List[Dict[int, int]] = [
@@ -167,10 +168,13 @@ class Cache:
         self._outstanding = 0
         self._issue_queue: Deque[int] = deque()
 
-        # MSHR pipeline (opt-in; see repro.cache.mshr).  The legacy
-        # regime keeps admission unconditional, so the access entry
-        # point binds straight to the processing body and the default
-        # configuration pays nothing for the machinery.
+        # MSHR pipeline (opt-in; see repro.cache.mshr).  The access
+        # entry point, ``access(addr, is_write, pc, now, on_done,
+        # core_id=0, is_prefetch=False)`` - ``on_done(tick)`` fires when
+        # the data is available - exists only per instance: the legacy
+        # regime keeps admission unconditional, so it binds straight to
+        # the processing body and the default configuration pays
+        # nothing for the machinery.
         self._pipeline = pipeline
         self.mshr_targets = mshr_targets
         self.hit_under_miss = hit_under_miss
@@ -203,9 +207,6 @@ class Cache:
     # Address helpers
     # ------------------------------------------------------------------
 
-    def line_addr(self, addr: int) -> int:
-        return addr & _LINE_MASK
-
     def set_index(self, line_addr: int) -> int:
         return (line_addr >> LINE_BITS) & self._set_mask
 
@@ -220,30 +221,6 @@ class Cache:
     # ------------------------------------------------------------------
     # Demand / prefetch access path
     # ------------------------------------------------------------------
-
-    def access(
-        self,
-        addr: int,
-        is_write: bool,
-        pc: int,
-        now: int,
-        on_done: Optional[DoneCallback],
-        core_id: int = 0,
-        is_prefetch: bool = False,
-    ) -> None:
-        """Access one line; ``on_done(tick)`` fires when data is available.
-
-        ``__init__`` rebinds this name per instance (to :meth:`_process`
-        in the legacy regime, :meth:`_admit_access` when the MSHR
-        pipeline is on), so the common path pays nothing for admission;
-        this body only runs through an explicit class-attribute call.
-        """
-        if self._pipeline:
-            self._admit_access(addr, is_write, pc, now, on_done, core_id,
-                               is_prefetch)
-        else:
-            self._process(addr, is_write, pc, now, on_done, core_id,
-                          is_prefetch)
 
     def _admit_access(
         self,
@@ -378,76 +355,63 @@ class Cache:
             if on_done is not None:
                 done_at = now + self.hit_latency_ticks
                 self.engine.schedule(done_at, on_done, done_at)
-            if self.prefetcher is not None and not is_prefetch:
-                self._run_prefetcher(addr, pc, hit=True, now=now,
-                                     is_prefetch=is_prefetch)
-            return
-
-        # Miss: merge into an outstanding MSHR or allocate a new one.
-        stats.misses += 1
-        if is_prefetch:
-            stats.prefetch_misses += 1
-        elif is_write:
-            stats.write_misses += 1
         else:
-            stats.read_misses += 1
+            # Miss: merge into an outstanding MSHR or allocate a new one.
+            stats.misses += 1
+            if is_prefetch:
+                stats.prefetch_misses += 1
+            elif is_write:
+                stats.write_misses += 1
+            else:
+                stats.read_misses += 1
 
-        word = (addr >> 3) & _WORD_IDX_MASK
-        entry = self.mshr.get(la)
-        if entry is not None:
-            mask_before = entry.word_mask
-            entry.merge(is_write, is_prefetch, on_done, word=word)
-            stats.mshr_merges += 1
-            if entry.word_mask != mask_before:
-                stats.coalesced_words += 1
-            if not is_prefetch:
-                stats.secondary_misses += 1
-        else:
-            entry = MSHREntry(
-                line_addr=la,
-                is_write=is_write,
-                pc=pc,
-                core_id=core_id,
-                is_prefetch=is_prefetch,
-                allocated_tick=now,
-                word_mask=1 << word,
-            )
-            if on_done is not None:
-                entry.waiters.append(on_done)
-            self.mshr[la] = entry
-            occ = len(self.mshr)
-            hist = stats.mshr_occupancy_hist
-            if len(hist) <= occ:
-                hist.extend([0] * (occ + 1 - len(hist)))
-            hist[occ] += 1
-            self._try_issue(la, now)
-        if self.prefetcher is not None and not is_prefetch:
-            self._run_prefetcher(addr, pc, hit=False, now=now,
-                                 is_prefetch=is_prefetch)
+            word = (addr >> 3) & _WORD_IDX_MASK
+            mshr = self.mshr
+            entry = mshr.get(la)
+            if entry is not None:
+                mask_before = entry.word_mask
+                entry.merge(is_write, is_prefetch, on_done, word=word)
+                stats.mshr_merges += 1
+                if entry.word_mask != mask_before:
+                    stats.coalesced_words += 1
+                if not is_prefetch:
+                    stats.secondary_misses += 1
+            else:
+                entry = MSHREntry(la, is_write, pc, core_id, is_prefetch,
+                                  now, word_mask=1 << word)
+                if on_done is not None:
+                    entry.waiters.append(on_done)
+                mshr[la] = entry
+                occ = len(mshr)
+                hist = stats.mshr_occupancy_hist
+                if len(hist) <= occ:
+                    hist.extend([0] * (occ + 1 - len(hist)))
+                hist[occ] += 1
+                # At most ``mshr_count`` misses outstanding below; the
+                # rest wait in the issue queue for a fill to free one.
+                if self._outstanding >= self.mshr_count:
+                    self._issue_queue.append(la)
+                else:
+                    self._issue(la, now)
 
-    def _run_prefetcher(self, addr: int, pc: int, hit: bool, now: int,
-                        is_prefetch: bool) -> None:
-        if self.prefetcher is None or is_prefetch:
+        # Demand accesses train the prefetcher, which may request lines
+        # that are neither resident nor already outstanding.
+        prefetcher = self.prefetcher
+        if prefetcher is None or is_prefetch:
             return
-        for target in self.prefetcher.on_access(addr, pc, hit):
+        tags = self._tags
+        set_mask = self._set_mask
+        mshr = self.mshr
+        for target in prefetcher.on_access(addr, pc, way is not None):
             tla = target & _LINE_MASK
-            if tla == addr & _LINE_MASK:
-                continue
-            if tla in self._tags[(tla >> LINE_BITS) & self._set_mask]:
-                continue
-            if tla in self.mshr:
+            if tla == la or tla in tags[(tla >> LINE_BITS) & set_mask] \
+                    or tla in mshr:
                 continue
             self.access(tla, False, pc, now, None, is_prefetch=True)
 
     # ------------------------------------------------------------------
     # Miss handling
     # ------------------------------------------------------------------
-
-    def _try_issue(self, line_addr: int, now: int) -> None:
-        if self._outstanding >= self.mshr_count:
-            self._issue_queue.append(line_addr)
-            return
-        self._issue(line_addr, now)
 
     def _issue(self, line_addr: int, now: int) -> None:
         entry = self.mshr[line_addr]
@@ -463,14 +427,9 @@ class Cache:
             # drain() completed this miss functionally before the send.
             return
         entry.state = FILLING
-        self.lower.read(
-            line_addr,
-            self.engine.now,
-            lambda t, la=line_addr: self._on_fill(la, t),
-            entry.core_id,
-            entry.is_prefetch,
-            pc=entry.pc,
-        )
+        self.lower.read(line_addr, self.engine.now,
+                        partial(self._on_fill, line_addr), entry.core_id,
+                        entry.is_prefetch, pc=entry.pc)
 
     def _on_fill(self, line_addr: int, now: int) -> None:
         if self._cancelled_fills:
@@ -506,15 +465,40 @@ class Cache:
 
     def _install(self, line_addr: int, dirty: bool, pc: int, now: int,
                  is_prefetch: bool) -> None:
+        """Install a line, evicting the chosen victim if the set is full.
+
+        The replacement policy proposes the victim and the writeback
+        policy (BARD) may override it.  A valid victim is written back
+        if dirty; its line object is then refilled in place, every field
+        overwritten.
+        """
         set_idx = (line_addr >> LINE_BITS) & self._set_mask
         cset = self.sets[set_idx]
+        lines = cset.lines
         tags = self._tags[set_idx]
+        repl = self.repl
+        wb_policy = self.wb_policy
         # All ways resident (the steady state) - skip the invalid-way scan.
         way = None if len(tags) >= self.ways else cset.find_invalid()
         if way is None:
-            way = self._choose_victim(set_idx, now)
-            self._evict(set_idx, way, now)
-        line = cset.lines[way]
+            way = repl.victim(set_idx, lines)
+            if wb_policy is not None:
+                way = wb_policy.choose_victim(set_idx, way, now)
+            victim = lines[way]
+            if victim.valid:
+                victim_addr = victim.line_addr
+                del tags[victim_addr]
+                stats = self.stats
+                stats.evictions += 1
+                on_eviction = repl.on_eviction
+                if on_eviction is not None:
+                    on_eviction(set_idx, way, victim)
+                if victim.dirty:
+                    stats.dirty_evictions += 1
+                    self._write_back(victim_addr, now)
+                    if wb_policy is not None:
+                        wb_policy.on_undirty(victim_addr)
+        line = lines[way]
         tags[line_addr] = way
         line.valid = True
         line.dirty = dirty
@@ -522,31 +506,9 @@ class Cache:
         line.signature = pc_signature(pc)
         line.reused = False
         line.prefetched = is_prefetch
-        self.repl.on_fill(set_idx, way, pc, is_prefetch)
-        if dirty and self.wb_policy is not None:
-            self.wb_policy.on_dirty(line_addr)
-
-    def _choose_victim(self, set_idx: int, now: int) -> int:
-        default = self.repl.victim(set_idx, self.sets[set_idx].lines)
-        if self.wb_policy is None:
-            return default
-        return self.wb_policy.choose_victim(set_idx, default, now)
-
-    def _evict(self, set_idx: int, way: int, now: int) -> None:
-        line = self.sets[set_idx].lines[way]
-        if not line.valid:
-            return
-        del self._tags[set_idx][line.line_addr]
-        self.stats.evictions += 1
-        on_eviction = self.repl.on_eviction
-        if on_eviction is not None:
-            on_eviction(set_idx, way, line)
-        if line.dirty:
-            self.stats.dirty_evictions += 1
-            self._write_back(line.line_addr, now)
-            if self.wb_policy is not None:
-                self.wb_policy.on_undirty(line.line_addr)
-        line.reset()
+        repl.on_fill(set_idx, way, pc, is_prefetch)
+        if dirty and wb_policy is not None:
+            wb_policy.on_dirty(line_addr)
 
     def _write_back(self, line_addr: int, now: int) -> None:
         self.stats.writebacks += 1
@@ -580,20 +542,21 @@ class Cache:
         Hits update the line in place; misses install the line as dirty
         without fetching (writeback-allocate, non-inclusive hierarchy).
         """
-        la = self.line_addr(line_addr)
+        la = line_addr & _LINE_MASK
         self.stats.writeback_installs += 1
-        found = self.find_line(la)
-        if found is not None:
-            set_idx, way = found
+        set_idx = (la >> LINE_BITS) & self._set_mask
+        way = self._tags[set_idx].get(la)
+        if way is not None:
             line = self.sets[set_idx].lines[way]
             line.reused = True
+            wb_policy = self.wb_policy
             if not line.dirty:
                 line.dirty = True
-                if self.wb_policy is not None:
-                    self.wb_policy.on_dirty(la)
+                if wb_policy is not None:
+                    wb_policy.on_dirty(la)
             self.repl.on_hit(set_idx, way, 0)
-            if self.wb_policy is not None:
-                self.wb_policy.on_hit(set_idx, way, now)
+            if wb_policy is not None:
+                wb_policy.on_hit(set_idx, way, now)
             return
         entry = self.mshr.get(la)
         if entry is not None:
@@ -603,7 +566,7 @@ class Cache:
             entry.is_write = True
             entry.word_mask = FULL_WORD_MASK
             return
-        self._install(la, True, 0, now, is_prefetch=False)
+        self._install(la, True, 0, now, False)
 
     # Lower-level protocol alias: an upper cache calls ``read`` on us.
     def read(self, line_addr: int, now: int, on_done: DoneCallback,

@@ -96,18 +96,13 @@ class BardPolicy(WritebackPolicy):
     # Tracker plumbing
     # ------------------------------------------------------------------
 
-    def _channel_bank(self, line_addr: int) -> tuple[int, int]:
-        coord = self.mapping.map(line_addr)
-        return coord.channel, coord.bank_id
-
     def _improves_blp(self, line_addr: int) -> bool:
         """True when the line maps to a bank without a pending write."""
-        channel, bank = self._channel_bank(line_addr)
-        return not self.tracker.is_pending(channel, bank)
+        return not self.tracker.is_pending(
+            *self.mapping.channel_bank(line_addr))
 
     def on_writeback(self, line_addr: int) -> None:
-        channel, bank = self._channel_bank(line_addr)
-        self.tracker.mark_writeback(channel, bank)
+        self.tracker.mark_writeback(*self.mapping.channel_bank(line_addr))
 
     # ------------------------------------------------------------------
     # Victim selection (BARD-E) and cleansing (BARD-C)
@@ -146,13 +141,14 @@ class BardPolicy(WritebackPolicy):
         """First dirty line (most-evictable first) whose bank is write-free."""
         cache = self.cache
         lines = cache.sets[set_idx].lines
+        channel_bank = self.mapping.channel_bank
+        is_pending = self.tracker.is_pending
         for way in cache.repl.eviction_order(set_idx, lines):
             if way == skip_way:
                 continue
             line = lines[way]
-            if line.valid and line.dirty and self._improves_blp(
-                line.line_addr
-            ):
+            if line.valid and line.dirty and not is_pending(
+                    *channel_bank(line.line_addr)):
                 return way
         return None
 

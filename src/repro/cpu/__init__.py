@@ -1,7 +1,6 @@
 """Trace-driven CPU model: cores, ROB, TLBs, and the trace protocol."""
 
-from repro.cpu.core import Core, CoreStats
-from repro.cpu.rob import ReorderBuffer, RobEntry
+from repro.cpu.core import Core, CoreStats, RobEntry
 from repro.cpu.tlb import TLB, TLBHierarchy, TLBStats
 from repro.cpu.trace import (
     LOAD,
@@ -20,7 +19,6 @@ __all__ = [
     "CoreStats",
     "LOAD",
     "NONMEM",
-    "ReorderBuffer",
     "RobEntry",
     "STORE",
     "TLB",

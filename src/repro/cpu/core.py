@@ -18,17 +18,27 @@ grid, and charges the skipped cycles to ``mshr_stall_cycles`` in one go.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from functools import partial
+from typing import Callable, Deque, Iterator, Optional
 
 from repro.clock import TICKS_PER_CPU_CYCLE
-from repro.cpu.rob import ReorderBuffer, RobEntry
 from repro.cpu.trace import LOAD, NONMEM, TraceRecord
 from repro.dram.commands import LINE_BITS
 
 #: Budget sentinel for quota-driven windows: never reached, so the core
 #: runs until explicitly re-targeted (see :meth:`Core.begin_quota`).
 _UNBOUNDED = 1 << 62
+
+
+class RobEntry:
+    """One in-flight instruction; ``done_tick`` is None while outstanding."""
+
+    __slots__ = ("done_tick",)
+
+    def __init__(self, done_tick: Optional[int]) -> None:
+        self.done_tick = done_tick
 
 
 @dataclass
@@ -86,7 +96,10 @@ class Core:
         self.l1i = l1i
         self.dtlb = dtlb
         self.itlb = itlb
-        self.rob = ReorderBuffer(rob_size)
+        #: The reorder buffer: in-flight instructions, retired in order
+        #: from the left, at most ``rob_size`` of them.
+        self.rob: Deque[RobEntry] = deque()
+        self.rob_size = rob_size
         self.issue_width = issue_width
         self.retire_width = retire_width
         self.budget = budget
@@ -248,9 +261,8 @@ class Core:
             return
         # Asleep on an MSHR stall: only an unstall or a completed head
         # lets the core act again.
-        entries = self.rob.entries
-        if self.l1d.stalled and (not entries
-                                 or entries[0].done_tick is None):
+        rob = self.rob
+        if self.l1d.stalled and (not rob or rob[0].done_tick is None):
             return
         # Resume on the stall's cycle grid, where a per-cycle poll would
         # have seen the change.
@@ -272,8 +284,11 @@ class Core:
             return
         # Invariant per-access state (config-derived widths, the ROB, the
         # trace cursor, the clock ratio) is hoisted into locals: this
-        # method runs once per active CPU cycle per core.
-        now = self.engine.now
+        # method runs once per active CPU cycle per core.  Retirement,
+        # fetch, the memory sends and the next-tick plan all live in this
+        # one body: a call saved here is saved once per instruction.
+        engine = self.engine
+        now = engine.now
         stats = self.stats
         rob = self.rob
         budget = self.budget
@@ -286,13 +301,21 @@ class Core:
             stats.mshr_stall_cycles += (now - self._stall_base) // cpu_cycle
             self._stall_base = None
 
+        # Retire, in order, up to retire_width completed head entries
+        # (fewer when the budget or quota is closer).
         quota = self._quota
         cap = budget if quota is None or budget < quota else quota
-        remaining = cap - stats.retired
-        if remaining < self.retire_width:
-            stats.retired += rob.retire_ready(now, remaining)
-        else:
-            stats.retired += rob.retire_ready(now, self.retire_width)
+        room = cap - stats.retired
+        if room > self.retire_width:
+            room = self.retire_width
+        retired = 0
+        while retired < room and rob:
+            done = rob[0].done_tick
+            if done is None or done > now:
+                break
+            rob.popleft()
+            retired += 1
+        stats.retired += retired
         if quota is not None and stats.retired >= quota:
             # Soft window boundary: record it and keep executing.
             stats.finish_tick = now
@@ -303,7 +326,6 @@ class Core:
             self._finish(now)
             return
 
-        rob_entries = rob.entries
         if self.l1d.stalled:
             # The L1D's MSHR admission queue backed up into us: issue
             # stalls from this cycle on (retirement above still ran).
@@ -314,100 +336,97 @@ class Core:
             # the legacy regime, so the default configuration's event
             # schedule is untouched.
             self._stall_base = now
-            if rob_entries and rob_entries[0].done_tick is not None:
+            if rob and rob[0].done_tick is not None:
                 self._schedule_tick(now + cpu_cycle)
             else:
                 self._sleeping = True
             return
 
-        rob_size = rob.size
+        rob_size = self.rob_size
+        issue = rob_size - len(rob)
+        if issue > self.issue_width:
+            issue = self.issue_width
         trace_next = self.trace.__next__
-        push = rob_entries.append
-        fetch = self._fetch
-        issued = 0
-        issue_width = self.issue_width
-        while issued < issue_width and len(rob_entries) < rob_size:
+        push = rob.append
+        schedule = engine.schedule
+        dtlb_translate = self.dtlb.translate
+        l1d_access = self.l1d.access
+        load_done = self._load_done
+        core_id = self.core_id
+        last_line = self._last_fetch_line
+        # Every non-load retires at the next cycle and is never mutated,
+        # so one entry stands for all of this tick's.
+        ready = None
+        loads = stores = 0
+        for _ in range(issue):
             kind, addr, pc = trace_next()
-            fetch(pc, now)
+            line = pc >> LINE_BITS
+            if line != last_line:
+                # Instruction side: one L1I access per new fetch line.
+                last_line = self._last_fetch_line = line
+                self.itlb.translate(pc)
+                self.l1i.access(pc, False, pc, now, None, core_id)
             if kind == NONMEM:
-                push(RobEntry(now + cpu_cycle))
-                stats.nonmem += 1
-            elif kind == LOAD:
-                entry = RobEntry(None, is_load=True)
+                if ready is None:
+                    ready = RobEntry(now + cpu_cycle)
+                push(ready)
+                continue
+            delay = dtlb_translate(addr) * cpu_cycle
+            if kind == LOAD:
+                entry = RobEntry(None)
                 push(entry)
-                stats.loads += 1
-                self._issue_load(addr, pc, now, entry)
+                loads += 1
+                done = partial(load_done, entry)
+                if delay:
+                    send = now + delay
+                    schedule(send, l1d_access, addr, False, pc, send, done,
+                             core_id)
+                else:
+                    l1d_access(addr, False, pc, now, done, core_id)
             else:
-                # Stores retire immediately (post-retirement store buffer);
-                # the write still traverses the hierarchy and dirties lines.
-                push(RobEntry(now + cpu_cycle))
-                stats.stores += 1
-                self._issue_store(addr, pc, now)
-            issued += 1
+                # Stores retire immediately (post-retirement store
+                # buffer); the write still traverses the hierarchy and
+                # dirties lines.
+                if ready is None:
+                    ready = RobEntry(now + cpu_cycle)
+                push(ready)
+                stores += 1
+                if delay:
+                    send = now + delay
+                    schedule(send, l1d_access, addr, True, pc, send, None,
+                             core_id)
+                else:
+                    l1d_access(addr, True, pc, now, None, core_id)
+        stats.loads += loads
+        stats.stores += stores
+        stats.nonmem += issue - loads - stores
 
-        self._plan_next(now)
-
-    def _plan_next(self, now: int) -> None:
-        if not self.rob.full:
+        if len(rob) < rob_size:
             # Still issuing: out-of-order issue continues past a blocked
             # head until the ROB fills.
-            self._schedule_tick(now + TICKS_PER_CPU_CYCLE)
-            return
-        head = self.rob.head
-        if head is not None and head.done_tick is not None:
-            self._schedule_tick(
-                max(head.done_tick, now + TICKS_PER_CPU_CYCLE)
-            )
+            tick = now + cpu_cycle
         else:
-            # ROB full behind an outstanding load; sleep until a
-            # completion callback wakes us.
-            self._sleeping = True
-            self.stats.sleeps += 1
+            tick = rob[0].done_tick
+            if tick is None:
+                # ROB full behind an outstanding load; sleep until a
+                # completion callback wakes us.
+                self._sleeping = True
+                stats.sleeps += 1
+                return
+            if tick < now + cpu_cycle:
+                tick = now + cpu_cycle
+        if not (self._tick_scheduled or self.finished):
+            self._tick_scheduled = True
+            schedule(tick, self._tick)
+
+    def _load_done(self, entry: RobEntry, tick: int) -> None:
+        """A load's data arrived: its ROB entry may retire from ``tick``."""
+        entry.done_tick = tick
+        if self._sleeping:
+            self._wake()
 
     def _finish(self, now: int) -> None:
         self.finished = True
         self.stats.finish_tick = now
         if self.on_finish is not None:
             self.on_finish(self)
-
-    # ------------------------------------------------------------------
-    # Memory interfaces
-    # ------------------------------------------------------------------
-
-    def _issue_load(self, addr: int, pc: int, now: int,
-                    entry: RobEntry) -> None:
-        delay = self.dtlb.translate(addr) * TICKS_PER_CPU_CYCLE
-
-        def done(t: int) -> None:
-            entry.done_tick = t
-            self._wake()
-
-        def send() -> None:
-            self.l1d.access(addr, False, pc, self.engine.now, done,
-                            core_id=self.core_id)
-
-        if delay:
-            self.engine.schedule(now + delay, send)
-        else:
-            send()
-
-    def _issue_store(self, addr: int, pc: int, now: int) -> None:
-        delay = self.dtlb.translate(addr) * TICKS_PER_CPU_CYCLE
-
-        def send() -> None:
-            self.l1d.access(addr, True, pc, self.engine.now, None,
-                            core_id=self.core_id)
-
-        if delay:
-            self.engine.schedule(now + delay, send)
-        else:
-            send()
-
-    def _fetch(self, pc: int, now: int) -> None:
-        """Instruction-side traffic: one L1I access per new fetch line."""
-        line = pc >> LINE_BITS
-        if line == self._last_fetch_line:
-            return
-        self._last_fetch_line = line
-        self.itlb.translate(pc)
-        self.l1i.access(pc, False, pc, now, None, core_id=self.core_id)

@@ -47,24 +47,25 @@ class TLB:
         self._sets: List[Dict[int, int]] = [dict() for _ in range(num_sets)]
         self._clock = 0
 
-    def _set_index(self, page: int) -> int:
-        return page % self.num_sets
-
     def lookup(self, addr: int) -> bool:
         """Translate; returns True on hit.  Inserts the page on miss."""
         page = addr >> PAGE_BITS
-        s = self._sets[self._set_index(page)]
+        s = self._sets[page % self.num_sets]
         self.stats.accesses += 1
         self._clock += 1
         if page in s:
             s[page] = self._clock
             return True
+        self._insert(s, page)
+        return False
+
+    def _insert(self, s: Dict[int, int], page: int) -> None:
+        """The miss half of a lookup (access and clock already counted)."""
         self.stats.misses += 1
         if len(s) >= self.ways:
             lru_page = min(s, key=s.get)
             del s[lru_page]
         s[page] = self._clock
-        return False
 
     def snapshot(self) -> TLBState:
         """Copy of the translation state (stats excluded)."""
@@ -97,8 +98,16 @@ class TLBHierarchy:
 
     def translate(self, addr: int) -> int:
         """Added latency (CPU cycles) for translating ``addr``."""
-        if self.l1.lookup(addr):
+        # The L1 lookup, inlined: most translations end at an L1 hit.
+        l1 = self.l1
+        page = addr >> PAGE_BITS
+        s = l1._sets[page % l1.num_sets]
+        l1.stats.accesses += 1
+        clock = l1._clock = l1._clock + 1
+        if page in s:
+            s[page] = clock
             return 0
+        l1._insert(s, page)
         if self.l2.lookup(addr):
             return self.l2_latency
         return self.l2_latency + self.walk_latency

@@ -25,6 +25,7 @@ the Zen layout shifts up accordingly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 from repro.dram.commands import LINE_BITS, DramCoord
 from repro.errors import MappingError
@@ -151,6 +152,25 @@ class ZenMapping:
         addr |= (coord.row & ((1 << self.row_bits) - 1)) << bit
         return addr
 
+    def channel_bank(self, addr: int) -> Tuple[int, int]:
+        """``(channel, bank_id)`` of ``addr``: :meth:`map` without the rest.
+
+        BARD indexes the BLP-Tracker by these two fields for every line
+        it considers, so they are computed without building a
+        :class:`DramCoord`.
+        """
+        if addr < 0:
+            raise MappingError(f"negative address {addr:#x}")
+        sc = (addr >> self._sc_shift) & self._sc_mask
+        bg = (addr >> self._bg_shift) & self._bg_mask
+        ba = (addr >> self._ba_shift) & self._ba_mask
+        if self.pbpl:
+            row = (addr >> self._row_shift) & self._row_mask
+            ba ^= row & self._ba_mask
+            bg ^= (row >> _BA_BITS) & self._bg_mask
+        return ((addr >> LINE_BITS) & self._ch_mask,
+                (((sc << _BG_BITS) | bg) << _BA_BITS) | ba)
+
     def bank_id(self, addr: int) -> int:
         """Flat per-channel bank index (0..63) for BLP-Tracker lookups."""
-        return self.map(addr).bank_id
+        return self.channel_bank(addr)[1]

@@ -33,35 +33,33 @@ class BertiPrefetcher(Prefetcher):
         self._table: Dict[int, Tuple[int, int, int]] = {}
 
     def predict(self, addr: int, pc: int, hit: bool) -> List[int]:
-        entry = self._table.get(pc)
+        table = self._table
+        entry = table.get(pc)
+        if entry is None:
+            if len(table) >= _TABLE_SIZE:
+                table.pop(next(iter(table)))
+            table[pc] = (addr, 0, 0)
+            return []
+        last_addr, delta, conf = entry
+        new_delta = addr - last_addr
+        if new_delta == 0:
+            return []
+        if new_delta != delta:
+            delta, conf = new_delta, 1
+        elif conf < 4:
+            conf += 1
+        table[pc] = (addr, delta, conf)
+        if conf < _CONFIDENT:
+            return []
+        # ``delta`` is the (nonzero) new delta.  Issue ``degree`` steps
+        # ahead, one target per line.
         targets: List[int] = []
-        if entry is not None:
-            last_addr, delta, conf = entry
-            new_delta = addr - last_addr
-            if new_delta == 0:
-                return []
-            if new_delta == delta:
-                conf = min(conf + 1, 4)
-            else:
-                delta, conf = new_delta, 1
-            self._table[pc] = (addr, delta, conf)
-            if conf >= _CONFIDENT and delta != 0:
-                for k in range(1, self.degree + 1):
-                    target = addr + delta * k
-                    if target > 0:
-                        targets.append(target)
-        else:
-            if len(self._table) >= _TABLE_SIZE:
-                self._table.pop(next(iter(self._table)))
-            self._table[pc] = (addr, 0, 0)
-        if len(targets) < 2:
-            return targets
-        # Deduplicate same-line targets.
         seen = set()
-        unique: List[int] = []
-        for t in targets:
-            line = t // LINE_SIZE
-            if line not in seen:
-                seen.add(line)
-                unique.append(t)
-        return unique
+        for k in range(1, self.degree + 1):
+            target = addr + delta * k
+            if target > 0:
+                line = target // LINE_SIZE
+                if line not in seen:
+                    seen.add(line)
+                    targets.append(target)
+        return targets

@@ -21,6 +21,11 @@ Every generator is an infinite iterator of ``(kind, addr, pc)`` records
 (:mod:`repro.cpu.trace`).  Working-set sizes are expressed as multiples of
 the simulated LLC so cache pressure is preserved across scale profiles.
 All randomness is seeded - identical seeds give identical traces.
+
+Program counters cycle 4 bytes at a time over a code footprint of
+``max(64, code_bytes)`` bytes above the generator's code base; each
+generator keeps its position as a local ``pc_off`` (one record, one
+step).
 """
 
 from __future__ import annotations
@@ -43,20 +48,6 @@ def _align(addr: int) -> int:
     return addr & ~7
 
 
-class _PcStream:
-    """Cycles program counters over a code footprint of ``code_bytes``."""
-
-    def __init__(self, base: int, code_bytes: int) -> None:
-        self.base = base
-        self.limit = max(64, code_bytes)
-        self.offset = 0
-
-    def next(self) -> int:
-        pc = self.base + self.offset
-        self.offset = (self.offset + 4) % self.limit
-        return pc
-
-
 def stream_trace(
     seed: int,
     base: int,
@@ -76,17 +67,22 @@ def stream_trace(
     bases = [base + _DATA_BASE + i * (array_bytes + 4096)
              for i in range(arrays)]
     elements = array_bytes // _ELEM
-    pcs = _PcStream(base + _CODE_BASE, code_bytes)
+    pc_base = base + _CODE_BASE
+    pc_limit = max(64, code_bytes)
+    pc_off = 0
     i = 0
     while True:
         for a in range(loads_per_iter):
-            yield (LOAD, bases[a] + (i % elements) * _ELEM, pcs.next())
+            yield (LOAD, bases[a] + (i % elements) * _ELEM, pc_base + pc_off)
+            pc_off = (pc_off + 4) % pc_limit
         for _ in range(nonmem_per_iter):
-            yield (NONMEM, 0, pcs.next())
+            yield (NONMEM, 0, pc_base + pc_off)
+            pc_off = (pc_off + 4) % pc_limit
         for s in range(stores_per_iter):
             yield (STORE,
                    bases[loads_per_iter + s] + (i % elements) * _ELEM,
-                   pcs.next())
+                   pc_base + pc_off)
+            pc_off = (pc_off + 4) % pc_limit
         i += 1
 
 
@@ -114,11 +110,14 @@ def graph_trace(
     vertex_base = base + _DATA_BASE
     edge_base = vertex_base + vertex_bytes + 4096
     edge_stream_bytes = 4 * vertex_bytes
-    pcs = _PcStream(base + _CODE_BASE, code_bytes)
+    pc_base = base + _CODE_BASE
+    pc_limit = max(64, code_bytes)
+    pc_off = 0
     edge_pos = 0
     while True:
         # Sequential scan of the compressed edge array.
-        yield (LOAD, edge_base + edge_pos, pcs.next())
+        yield (LOAD, edge_base + edge_pos, pc_base + pc_off)
+        pc_off = (pc_off + 4) % pc_limit
         edge_pos = (edge_pos + _ELEM * edges_per_vertex) % edge_stream_bytes
         for _ in range(edges_per_vertex):
             if rng.random() < hot_prob:
@@ -126,11 +125,14 @@ def graph_trace(
             else:
                 target = rng.randrange(vertices)
             addr = vertex_base + target * _ELEM
-            yield (LOAD, addr, pcs.next())
+            yield (LOAD, addr, pc_base + pc_off)
+            pc_off = (pc_off + 4) % pc_limit
             for _ in range(nonmem_per_edge):
-                yield (NONMEM, 0, pcs.next())
+                yield (NONMEM, 0, pc_base + pc_off)
+                pc_off = (pc_off + 4) % pc_limit
             if rng.random() < store_prob:
-                yield (STORE, addr, pcs.next())
+                yield (STORE, addr, pc_base + pc_off)
+                pc_off = (pc_off + 4) % pc_limit
 
 
 def blend_trace(
@@ -147,11 +149,14 @@ def blend_trace(
     """SPEC-like blend of streaming and random working-set traffic."""
     rng = random.Random(seed)
     data_base = base + _DATA_BASE
-    pcs = _PcStream(base + _CODE_BASE, code_bytes)
+    pc_base = base + _CODE_BASE
+    pc_limit = max(64, code_bytes)
+    pc_off = 0
     stream_pos = 0
     while True:
         for _ in range(nonmem_per_mem):
-            yield (NONMEM, 0, pcs.next())
+            yield (NONMEM, 0, pc_base + pc_off)
+            pc_off = (pc_off + 4) % pc_limit
         if rng.random() < stream_fraction:
             addr = data_base + stream_pos
             stream_pos = (stream_pos + _ELEM) % ws_bytes
@@ -159,10 +164,9 @@ def blend_trace(
             addr = data_base + _align(rng.randrange(hot_bytes))
         else:
             addr = data_base + _align(rng.randrange(ws_bytes))
-        if rng.random() < store_fraction:
-            yield (STORE, addr, pcs.next())
-        else:
-            yield (LOAD, addr, pcs.next())
+        kind = STORE if rng.random() < store_fraction else LOAD
+        yield (kind, addr, pc_base + pc_off)
+        pc_off = (pc_off + 4) % pc_limit
 
 
 def server_trace(
@@ -190,10 +194,13 @@ def server_trace(
     placement = list(range(objects))
     rng.shuffle(placement)
     heap_base = base + _DATA_BASE
-    pcs = _PcStream(base + _CODE_BASE, code_bytes)
+    pc_base = base + _CODE_BASE
+    pc_limit = max(64, code_bytes)
+    pc_off = 0
     while True:
         for _ in range(nonmem_per_mem):
-            yield (NONMEM, 0, pcs.next())
+            yield (NONMEM, 0, pc_base + pc_off)
+            pc_off = (pc_off + 4) % pc_limit
         rank = bisect.bisect_left(cdf, rng.random())
         if rank >= ranks:
             rank = ranks - 1
@@ -204,9 +211,11 @@ def server_trace(
         offset = _align(rng.randrange(object_bytes))
         addr = heap_base + obj * object_bytes + offset
         kind = STORE if rng.random() < store_fraction else LOAD
-        yield (kind, addr, pcs.next())
+        yield (kind, addr, pc_base + pc_off)
+        pc_off = (pc_off + 4) % pc_limit
         # Touch a second field of the same object half the time.
         if rng.random() < 0.5:
             offset2 = _align(rng.randrange(object_bytes))
             yield (LOAD, heap_base + obj * object_bytes + offset2,
-                   pcs.next())
+                   pc_base + pc_off)
+            pc_off = (pc_off + 4) % pc_limit

@@ -1,8 +1,10 @@
 """CPU model: ROB, TLBs, trace protocol, and the core's issue/retire loop."""
 
+import itertools
+import random
+
 import pytest
 
-from repro.cpu.rob import ReorderBuffer, RobEntry
 from repro.cpu.tlb import TLB, TLBHierarchy
 from repro.cpu.trace import (
     LOAD,
@@ -19,33 +21,70 @@ from repro.errors import TraceError
 from repro.sim.engine import Engine
 
 
+class ManualMemory:
+    """L1-substitute that completes loads only when the test says so."""
+
+    def __init__(self):
+        self.loads = []
+
+    def access(self, addr, is_write, pc, now, on_done, core_id=0,
+               is_prefetch=False):
+        if on_done is not None:
+            self.loads.append(on_done)
+
+
+def _rob_core(records, rob_size=4, retire_width=4, budget=1000):
+    """A core fed ``records`` and then NONMEMs, on a ManualMemory."""
+    engine = Engine()
+    mem = ManualMemory()
+    trace = itertools.chain(records, itertools.repeat((NONMEM, 0, 4)))
+    core = Core(0, trace, engine, mem, mem, ZeroTLB(), ZeroTLB(),
+                rob_size=rob_size, issue_width=4,
+                retire_width=retire_width, budget=budget)
+    core.start()
+    return engine, mem, core
+
+
 class TestROB:
+    """Retirement through ``Core._tick``: in order, width- and
+    budget-bounded, blocked by an outstanding head."""
+
     def test_retire_in_order(self):
-        rob = ReorderBuffer(4)
-        rob.push(RobEntry(10))
-        rob.push(RobEntry(5))
-        assert rob.retire_ready(7, 4) == 0  # head not done yet
-        assert rob.retire_ready(10, 4) == 2
+        engine, mem, core = _rob_core([(LOAD, 64, 4), (LOAD, 128, 4)])
+        engine.run()
+        first, second = mem.loads
+        second(engine.now)  # the younger load completes first
+        engine.run()
+        assert core.stats.retired == 0
+        first(engine.now)
+        engine.step()       # the woken tick retires both loads, in order
+        assert core.stats.retired == 2
 
     def test_retire_width_limit(self):
-        rob = ReorderBuffer(8)
-        for _ in range(6):
-            rob.push(RobEntry(1))
-        assert rob.retire_ready(5, 4) == 4
-        assert rob.retire_ready(5, 4) == 2
+        engine, _, core = _rob_core([], rob_size=8, retire_width=4,
+                                    budget=6)
+        retired = [0]
+        while engine.step():
+            retired.append(core.stats.retired)
+        steps = [b - a for a, b in zip(retired, retired[1:])]
+        assert max(steps) == 4
+        # The last tick retires only what the budget has room for.
+        assert core.stats.retired == 6 and core.finished
 
     def test_outstanding_blocks(self):
-        rob = ReorderBuffer(4)
-        rob.push(RobEntry(None, is_load=True))
-        rob.push(RobEntry(1))
-        assert rob.retire_ready(100, 4) == 0
+        engine, mem, core = _rob_core([(LOAD, 64, 4)])
+        engine.run()
+        # Three completed NONMEMs wait behind the outstanding load.
+        assert len(mem.loads) == 1
+        assert core.stats.retired == 0 and core._sleeping
 
     def test_full(self):
-        rob = ReorderBuffer(2)
-        rob.push(RobEntry(1))
-        assert not rob.full
-        rob.push(RobEntry(1))
-        assert rob.full
+        engine, mem, core = _rob_core([(LOAD, 64 * i, 4)
+                                       for i in range(1, 9)], rob_size=2)
+        engine.run()
+        assert len(core.rob) == core.rob_size == 2
+        assert len(mem.loads) == 2 and core.stats.loads == 2
+        assert core.stats.sleeps == 1
 
 
 class TestTLB:
@@ -77,6 +116,32 @@ class TestTLB:
         assert h.translate(0x1000) == 0    # L1 hit
         h.translate(0x2000)                # evicts 0x1000 from 1-entry L1
         assert h.translate(0x1000) == 8    # L1 miss, L2 hit
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_translate_matches_repeated_lookups(self, seed):
+        """The L1 lookup inlined into ``translate`` leaves both levels
+        exactly as plain ``TLB.lookup`` calls would: same latencies,
+        stats, LRU clock and set contents."""
+        rng = random.Random(seed)
+        hierarchy = TLBHierarchy(l1_sets=4, l1_ways=2, l2_sets=8,
+                                 l2_ways=3, l2_latency=8, walk_latency=80)
+        l1, l2 = TLB(4, 2), TLB(8, 3)
+        for _ in range(3000):
+            # Mostly a small hot set of pages, sometimes a far one.
+            page = rng.randrange(24) if rng.random() < 0.8 \
+                else rng.randrange(1 << 20)
+            addr = (page << 12) | rng.randrange(4096)
+            if l1.lookup(addr):
+                want = 0
+            elif l2.lookup(addr):
+                want = 8
+            else:
+                want = 88
+            assert hierarchy.translate(addr) == want
+        for fast, ref in ((hierarchy.l1, l1), (hierarchy.l2, l2)):
+            assert fast.stats == ref.stats
+            assert fast.stats.misses > 0
+            assert fast.snapshot() == ref.snapshot()
 
 
 class TestTraceHelpers:

@@ -1,15 +1,21 @@
-"""Golden-stats regression: four small runs' results are pinned.
+"""Golden-stats regression: six small runs' results are pinned.
 
 Every hot-path optimisation PR must leave simulation *results* untouched:
 the engine refactor contract is "same events, same statistics, less host
-time".  These tests replay four small runs (each described in
+time".  These tests replay six small runs (each described in
 ``tests/data/golden_stats.json`` by its preset, workload, seed, budgets
-and optional MSHR file size) and compare every counter in the resulting
-:class:`~repro.sim.results.RunResult` against values captured from the
-seed implementation (commit 74a1c56), stored in the same file.
+and optional MSHR file size, LLC writeback policy, warmup mode and
+sampling plan) and compare every counter in the resulting
+:class:`~repro.sim.results.RunResult` against the values stored in the
+same file.  The four baseline-policy runs were captured from the seed
+implementation (commit 74a1c56).  ``bard_write_drain`` (BARD-H victim
+choice under detailed warmup) and ``bard_sampled`` (BARD-H with
+functional warmup and interval sampling, also replayed from a
+checkpoint restore) were captured later, before the request-path
+flattening.
 
 The engine event counts (``events_fired``) are not the seed's; every
-``stats`` counter is.  Two changes fired fewer events for the same
+baseline ``stats`` counter is.  Two changes fired fewer events for the same
 statistics.  ``mshr_pressure``'s cores used to poll an MSHR stall once
 per CPU cycle and now sleep until the L1D unstalls
 (:func:`test_mshr_stalls_cost_no_events`).  And the DRAM sub-channel
@@ -37,6 +43,7 @@ from repro.config import presets
 from repro.config.system import SystemConfig
 from repro.dram.channel import Channel
 from repro.experiment.session import Session
+from repro.sampling.config import SamplingConfig
 from repro.sim.results import RunResult
 from repro.sim.system import System
 from repro.workloads.suites import trace_factory
@@ -55,6 +62,13 @@ def golden_config(name: str) -> SystemConfig:
                      sim_instructions=golden["sim_instructions"])
     if "mshrs" in golden:
         config = config.with_mshrs(golden["mshrs"])
+    if "policy" in golden:
+        config = replace(config, llc_writeback=golden["policy"])
+    if "warmup_mode" in golden:
+        config = replace(config, warmup_mode=golden["warmup_mode"])
+    if "sampling" in golden:
+        config = replace(config,
+                         sampling=SamplingConfig(**golden["sampling"]))
     return config
 
 
@@ -95,7 +109,22 @@ def collect_stats(result: RunResult) -> dict:
                   "staged_reads", "staged_writes", "read_latency_ticks",
                   "reads_completed"):
             out[f"ch{i}.{f}"] = getattr(ch, f)
+    # Writeback-policy decisions; baseline runs have no policy, so their
+    # entries carry none of these keys.
+    if result.wb_stats is not None:
+        for f in ("victim_selections", "overrides", "cleanses"):
+            out[f"wb.{f}"] = getattr(result.wb_stats, f)
+    if result.bard_accuracy is not None:
+        for f in ("checked", "incorrect"):
+            out[f"tracker.{f}"] = getattr(result.bard_accuracy, f)
     return out
+
+
+def drift(name: str, result: RunResult) -> dict:
+    """``{counter: (golden, got)}`` for every pinned counter that moved."""
+    want = GOLDEN[name]["stats"]
+    got = collect_stats(result)
+    return {k: (want[k], got.get(k)) for k in want if got.get(k) != want[k]}
 
 
 @functools.lru_cache(maxsize=None)
@@ -114,18 +143,36 @@ class TestGoldenStats:
     def test_matches_seed_implementation(self, name):
         golden = GOLDEN[name]
         events_fired, result = run_golden(name)
-        got = collect_stats(result)
-        want = golden["stats"]
-        mismatched = {k: (want[k], got.get(k))
-                      for k in want if got.get(k) != want[k]}
+        mismatched = drift(name, result)
         assert not mismatched, (
-            f"{name}: simulation results drifted from the seed "
-            f"implementation: {mismatched}"
+            f"{name}: simulation results drifted from the golden "
+            f"values: {mismatched}"
         )
         # The refactored engine also dispatches the exact same events.
         assert events_fired == golden["events_fired"]
-        # RunResult.events carries the same number out to its callers.
-        assert result.events == golden["events_fired"]
+        if "sampling" not in golden:
+            # RunResult.events carries the same number out to its
+            # callers (a sampled result counts only its intervals').
+            assert result.events == golden["events_fired"]
+
+
+def test_sampled_golden_after_checkpoint_restore():
+    """``bard_sampled`` restored from a baseline system's warm-state
+    snapshot matches the fresh run: the checkpoint path and the
+    functional warmup leave the same state behind."""
+    name = "bard_sampled"
+    golden = GOLDEN[name]
+    config = golden_config(name)
+    donor_config = replace(config, llc_writeback=None)
+    donor = System(donor_config, trace_factory(golden["workload"],
+                                               donor_config,
+                                               seed=golden["seed"]))
+    system = System(config, trace_factory(golden["workload"], config,
+                                          seed=golden["seed"]))
+    system.restore_warm_state(donor.snapshot_warm_state())
+    result = system.run(label=golden["workload"])
+    assert not drift(name, result)
+    assert system.engine.events_fired == golden["events_fired"]
 
 
 def test_mshr_stalls_cost_no_events():
@@ -171,8 +218,4 @@ def test_session_path_produces_identical_results():
     result = Session(cache=False).run_one(golden_config(name),
                                           golden["workload"],
                                           seed=golden["seed"])
-    got = collect_stats(result)
-    mismatched = {k: (golden["stats"][k], got.get(k))
-                  for k in golden["stats"]
-                  if got.get(k) != golden["stats"][k]}
-    assert not mismatched
+    assert not drift(name, result)

@@ -106,6 +106,20 @@ class TestBankId:
         with pytest.raises(MappingError):
             ZenMapping().map(-1)
 
+    @settings(max_examples=300, deadline=None)
+    @given(addr=st.integers(min_value=0, max_value=(1 << 40) - 1),
+           pbpl=st.booleans(), channels=st.sampled_from([1, 2, 4]))
+    def test_channel_bank_matches_map(self, addr, pbpl, channels):
+        """The fast path BARD uses equals the two fields of map()."""
+        m = ZenMapping(channels=channels, pbpl=pbpl)
+        coord = m.map(addr)
+        assert m.channel_bank(addr) == (coord.channel, coord.bank_id)
+        assert m.bank_id(addr) == coord.bank_id
+
+    def test_channel_bank_rejects_negative_address(self):
+        with pytest.raises(MappingError):
+            ZenMapping().channel_bank(-1)
+
 
 class TestRoundTrip:
     @settings(max_examples=200, deadline=None)
