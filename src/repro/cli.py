@@ -9,7 +9,6 @@ Commands
 ``sweep``          grid sweep over arbitrary axes (workloads x policies
                    x seeds x any registered config axis); ``--adaptive``
                    orchestrates the grid budget-aware (docs/adaptive.md)
-``sweep-wq``       write-queue size sweep (paper Fig. 17)
 ``list``           available workloads, policies, presets, and axes
 ``serve``          run the long-running experiment service (HTTP API)
 ``submit``         submit a grid to a running service and fetch results
@@ -40,7 +39,6 @@ Examples::
         --axis policy=baseline,bard-h --speedup-vs policy
     python -m repro sweep --workloads lbm copy --sample 4 \\
         --axis policy=baseline,bard-h --adaptive --adaptive-error 2
-    python -m repro sweep-wq --workloads lbm copy --sizes 32 48 64
     python -m repro serve --port 8023 --workers 4
     python -m repro submit --workloads lbm --axis policy=baseline,bard-h \\
         --server http://127.0.0.1:8023 --tenant alice
@@ -477,37 +475,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_sweep_wq(args) -> int:
-    cfg = _build_config(args)
-    session = _session(args)
-    ref = session.run(
-        ExperimentSpec(workloads=args.workloads, configs=cfg,
-                       seeds=args.seed, name="sweep-wq:reference"),
-        progress=_progress_fn(args))
-    reference = {obs.coords["workload"]: obs.result for obs in ref}
-    spec = ExperimentSpec(workloads=args.workloads, configs=cfg,
-                          policies=["baseline", "bard-h"], seeds=args.seed,
-                          axes=[make_axis("wq", args.sizes)],
-                          name="sweep-wq")
-    rs = session.run(spec, progress=_progress_fn(args))
-    if args.json:
-        _emit_json(rs, session)
-        return 0
-    rows = []
-    for size in args.sizes:
-        for label in ("baseline", "bard-h"):
-            sub = rs.filter(wq=str(size), policy=label)
-            speedups = [
-                obs.result.speedup_pct(reference[obs.coords["workload"]])
-                for obs in sub
-            ]
-            rows.append((size, label, sum(speedups) / len(speedups)))
-    print(format_table(["WQ size", "policy", "mean speedup %"], rows,
-                       title="write-queue sweep vs 48-entry baseline "
-                             "(cf. paper Fig. 17)"))
-    return 0
-
-
 def _cmd_serve(args) -> int:
     """Run the long-running experiment service (Ctrl-C to stop)."""
     from repro.service import ExperimentService, ServiceConfig, \
@@ -899,14 +866,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_adaptive_args(p_sw)
     _add_common(p_sw)
     p_sw.set_defaults(fn=_cmd_sweep)
-
-    p_wq = sub.add_parser("sweep-wq", help="write-queue size sweep")
-    p_wq.add_argument("--workloads", nargs="+", choices=ALL_WORKLOADS,
-                      default=["lbm", "copy"])
-    p_wq.add_argument("--sizes", nargs="+", type=int,
-                      default=[32, 48, 64, 96, 128])
-    _add_common(p_wq)
-    p_wq.set_defaults(fn=_cmd_sweep_wq)
 
     p_ls = sub.add_parser("list", help="list workloads/policies/presets")
     p_ls.add_argument("--json", action="store_true")

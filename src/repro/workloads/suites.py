@@ -3,8 +3,9 @@
 Each paper workload maps to a parameterised synthetic generator whose
 working set scales with the simulated LLC, preserving the cache pressure
 (and hence the LLC writeback behaviour) that drives BARD.  The paper's
-measured characteristics (Table IV) are attached to every workload for the
-paper-vs-measured comparison in ``bench_table04``.
+measured characteristics (Table IV) are attached to every workload; the
+Table IV rows of the claims ledger (:mod:`repro.analysis.claims`) read
+them from here.
 
 Per-core physical address spaces are disjoint (1 GB apart), matching the
 ratemode/mix methodology where workloads do not share data.
@@ -45,7 +46,15 @@ Builder = Callable[[int, int, int], Iterator[TraceRecord]]
 
 @dataclass(frozen=True)
 class PaperRef:
-    """Paper Table IV characteristics for one workload."""
+    """Paper Table IV characteristics for one workload.
+
+    The measured side uses these definitions (``RunResult.mpki`` and
+    ``RunResult.wpki``), per thousand instructions retired by all cores:
+    ``mpki`` counts LLC demand misses (read and write misses; prefetch
+    misses excluded), ``wpki`` counts LLC writebacks to DRAM (dirty
+    evictions plus cleanses).  The paper's own definitions are not in
+    the text this repository has, so the match is unverified.
+    """
 
     mpki: float
     wpki: float

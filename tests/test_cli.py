@@ -26,10 +26,12 @@ class TestParser:
             ["compare", "copy", "--policies", "baseline", "bard-h"])
         assert args.policies == ["baseline", "bard-h"]
 
-    def test_sweep_args(self):
-        args = build_parser().parse_args(
-            ["sweep-wq", "--sizes", "32", "48"])
-        assert args.sizes == [32, 48]
+    def test_sweep_wq_is_gone(self):
+        """Fig. 17 is a scorecard exhibit; ad-hoc queue sweeps use
+        ``sweep --axis wq=...``."""
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep-wq"])
+        assert exc.value.code == 2
 
 
 class TestCommands:
@@ -67,9 +69,3 @@ class TestCommands:
         assert main(["characterize", "copy", "whiskey"]) == 0
         out = capsys.readouterr().out
         assert "whiskey" in out
-
-    def test_sweep_wq(self, capsys):
-        assert main(["sweep-wq", "--workloads", "copy",
-                     "--sizes", "32", "48"]) == 0
-        out = capsys.readouterr().out
-        assert "WQ size" in out

@@ -1,8 +1,8 @@
-"""Golden-stats regression: six small runs' results are pinned.
+"""Golden-stats regression: seven small runs' results are pinned.
 
 Every hot-path optimisation PR must leave simulation *results* untouched:
 the engine refactor contract is "same events, same statistics, less host
-time".  These tests replay six small runs (each described in
+time".  These tests replay seven small runs (each described in
 ``tests/data/golden_stats.json`` by its preset, workload, seed, budgets
 and optional MSHR file size, LLC writeback policy, warmup mode and
 sampling plan) and compare every counter in the resulting
@@ -12,7 +12,9 @@ implementation (commit 74a1c56).  ``bard_write_drain`` (BARD-H victim
 choice under detailed warmup) and ``bard_sampled`` (BARD-H with
 functional warmup and interval sampling, also replayed from a
 checkpoint restore) were captured later, before the request-path
-flattening.
+flattening.  ``bard_e_override`` (BARD-E on ``cf``) was captured after
+it; it is the one golden whose victim choices take the BARD-E override
+branch (:func:`test_bard_e_golden_takes_overrides`).
 
 The engine event counts (``events_fired``) are not the seed's; every
 baseline ``stats`` counter is.  Two changes fired fewer events for the same
@@ -219,3 +221,11 @@ def test_session_path_produces_identical_results():
                                           golden["workload"],
                                           seed=golden["seed"])
     assert not drift(name, result)
+
+
+def test_bard_e_golden_takes_overrides():
+    """``bard_e_override`` pins the override branch of
+    ``BardPolicy.choose_victim``, which neither BARD-H golden reaches."""
+    stats = GOLDEN["bard_e_override"]["stats"]
+    assert stats["wb.overrides"] > 0
+    assert stats["wb.cleanses"] == 0

@@ -74,3 +74,31 @@ class TestPowerReport:
         rep = r.power_report()
         assert rep.energy_nj > 0
         assert rep.runtime_ns == r.runtime_ns
+
+
+class TestTableIVDefinitions:
+    """MPKI and WPKI as the scorecard's Table IV rows read them, pinned
+    on a BARD-H run whose LLC both prefetches and cleanses."""
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        from repro.experiment import Session
+        from tests.conftest import tiny_config
+
+        return Session(cache=False).run_one(
+            tiny_config(llc_writeback="bard-h"), "lbm")
+
+    def test_run_exercises_both_exclusions(self, result):
+        llc = result.llc
+        assert llc.cleanses > 0 and llc.prefetch_misses > 0
+
+    def test_mpki_counts_llc_demand_misses_only(self, result):
+        llc = result.llc
+        demand = llc.read_misses + llc.write_misses
+        assert demand == llc.misses - llc.prefetch_misses
+        assert result.mpki == demand * 1000 / result.instructions
+
+    def test_wpki_counts_llc_writebacks_with_cleanses(self, result):
+        llc = result.llc
+        assert llc.writebacks == llc.dirty_evictions + llc.cleanses
+        assert result.wpki == llc.writebacks * 1000 / result.instructions
