@@ -26,13 +26,17 @@ The pieces:
   (:meth:`ExperimentService.submit_adaptive
   <repro.service.service.ExperimentService.submit_adaptive>`), which is
   why the two produce identical decisions.
+* :func:`~repro.adaptive.orchestrate.drive` - the one round driver
+  both paths advance a planner through.  Nothing of a planner is
+  persisted: a restarted service rebuilds it from the grid's cell specs
+  and policy and replays it through the rounds the store already holds.
 * :class:`~repro.adaptive.report.AdaptiveReport` /
   :class:`~repro.adaptive.report.CellDecision` - per-cell rounds,
   instructions spent, stop reason, and final CI, carried on the
   returned :class:`~repro.experiment.resultset.ResultSet`.
 """
 
-from repro.adaptive.orchestrate import orchestrate
+from repro.adaptive.orchestrate import drive, orchestrate
 from repro.adaptive.planner import AdaptivePlanner, CellState
 from repro.adaptive.policy import ESCALATIONS, LOWER_IS_BETTER, \
     AdaptivePolicy
@@ -48,5 +52,6 @@ __all__ = [
     "AdaptiveReport",
     "CellDecision",
     "CellState",
+    "drive",
     "orchestrate",
 ]

@@ -14,9 +14,11 @@ wall clock, no randomness, no I/O - and results are themselves
 deterministic in (config, workload, seed).  The local loop
 (:meth:`~repro.experiment.session.Session.run_adaptive`) and the
 service supervisor drive the *same* planner code over the *same*
-results, which is what guarantees identical decisions on both paths.
-:meth:`state_dict` / :meth:`restore` round-trip the full state through
-JSON so the service can persist it in grid records between rounds.
+results through one driver (:func:`~repro.adaptive.orchestrate.drive`),
+which is what guarantees identical decisions on both paths.  Nothing
+about a planner is persisted: a fresh planner replayed over the stored
+results of a grid's rounds reaches the same state, which is how a
+restarted service resumes an adaptive grid.
 
 Budget accounting counts **detailed instructions**
 (``RunResult.instructions``: instructions measured in full detail,
@@ -29,7 +31,7 @@ always reconcile with telemetry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro import telemetry
@@ -96,7 +98,6 @@ class CellState:
     ci_hi: float = 0.0
     rel_error: float = 0.0
     final_key: str = ""
-    history: List[Dict[str, Any]] = field(default_factory=list)
 
 
 def _group_anchor(coords: Mapping[str, Any], compare_axis: str) -> str:
@@ -213,9 +214,6 @@ class AdaptivePlanner:
             cell.last_instructions = result.instructions
             cell.instructions += result.instructions
             self.spent += result.instructions
-            cell.history.append({"key": cell.key,
-                                 "intervals": cell.intervals,
-                                 "instructions": result.instructions})
             self.totals["rounds"] += 1
             _rounds_counter().inc()
             instructions.labels(kind="spent").inc(result.instructions)
@@ -387,72 +385,3 @@ class AdaptivePlanner:
             instructions_spent=self.spent,
             instructions_full=self._instructions_full(),
             winners=dict(self._winners))
-
-    # -- persistence (the service's grid records) ----------------------
-
-    def state_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable snapshot; :meth:`restore` round-trips it."""
-        return {
-            "round": self.round,
-            "spent": self.spent,
-            "totals": dict(self.totals),
-            "finalized": self._finalized,
-            "winners": dict(self._winners),
-            "cells": [{
-                "cell": cell.cell, "label": cell.label,
-                "coords": dict(cell.coords), "group": cell.group,
-                "value": cell.value, "spec": cell.spec.describe(),
-                "key": cell.key, "intervals": cell.intervals,
-                "cap": cell.cap, "full_cost": cell.full_cost,
-                "rounds": cell.rounds,
-                "instructions": cell.instructions,
-                "last_instructions": cell.last_instructions,
-                "awaiting": cell.awaiting, "stop": cell.stop,
-                "escalated": cell.escalated, "pruned": cell.pruned,
-                "has_estimate": cell.has_estimate,
-                "mean": cell.mean, "ci_lo": cell.ci_lo,
-                "ci_hi": cell.ci_hi, "rel_error": cell.rel_error,
-                "final_key": cell.final_key,
-                "history": list(cell.history),
-            } for cell in self._ordered()],
-        }
-
-    @classmethod
-    def restore(cls, policy: AdaptivePolicy,
-                state: Mapping[str, Any]) -> "AdaptivePlanner":
-        """Rebuild a planner from :meth:`state_dict` output."""
-        from repro.experiment.serialize import spec_from_dict
-
-        planner = cls.__new__(cls)
-        planner.policy = policy
-        planner.round = int(state["round"])
-        planner.spent = int(state["spent"])
-        planner.totals = {k: int(v)
-                          for k, v in state["totals"].items()}
-        planner._finalized = bool(state.get("finalized", False))
-        planner._winners = {str(k): str(v) for k, v
-                            in state.get("winners", {}).items()}
-        planner.cells = {}
-        for data in state["cells"]:
-            spec = spec_from_dict(data["spec"])
-            cell = CellState(
-                cell=str(data["cell"]), label=str(data["label"]),
-                coords=dict(data["coords"]), group=str(data["group"]),
-                value=str(data["value"]), spec=spec,
-                key=str(data["key"]),
-                intervals=data["intervals"], cap=int(data["cap"]),
-                full_cost=int(data["full_cost"]),
-                rounds=int(data["rounds"]),
-                instructions=int(data["instructions"]),
-                last_instructions=int(data["last_instructions"]),
-                awaiting=bool(data["awaiting"]), stop=data["stop"],
-                escalated=bool(data["escalated"]),
-                pruned=bool(data["pruned"]),
-                has_estimate=bool(data["has_estimate"]),
-                mean=float(data["mean"]), ci_lo=float(data["ci_lo"]),
-                ci_hi=float(data["ci_hi"]),
-                rel_error=float(data["rel_error"]),
-                final_key=str(data["final_key"]),
-                history=list(data.get("history", [])))
-            planner.cells[cell.cell] = cell
-        return planner

@@ -25,7 +25,7 @@ This module is not imported by ``import repro``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.analysis.bandwidth import SYNC_BITS, WRITEBACK_BYTES, \
@@ -88,10 +88,7 @@ def paired(rs: ResultSet, design: str,
            reference: str = "baseline") -> ResultSet:
     """``design``'s observations, each with the same workload's
     ``reference`` result attached as its baseline."""
-    ref = {obs.coords["workload"]: obs.result
-           for obs in rs.filter(config=reference)}
-    return ResultSet(replace(obs, baseline=ref[obs.coords["workload"]])
-                     for obs in rs.filter(config=design))
+    return rs.speedup_vs("config", reference).filter(config=design)
 
 
 def gain(rs: ResultSet, design: str, reference: str = "baseline") -> float:

@@ -501,27 +501,32 @@ def _cmd_serve(args) -> int:
     if getattr(args, "telemetry", False):
         telemetry.enable()
     service = ExperimentService(config)
-    server = make_server(service, host=args.host, port=args.port,
-                         quiet=not args.verbose)
-    host, port = server.server_address[:2]
-    # The listen banner is a machine-readable contract (tests and
-    # tooling parse the URL from stdout, e.g. with --port 0); it must
-    # stay a flushed stdout print, not a log record on stderr.
-    print(f"repro service listening on http://{host}:{port} "
-          f"({config.shards} worker shards, state in {state_dir}, "
-          f"store in {service.store.directory})", flush=True)
-    _log.debug("service listening",
-               extra={"event": "serve.listening", "host": str(host),
-                      "port": int(port), "shards": config.shards})
+    # Fork the worker processes before binding the port: a forked
+    # child holding the listening socket outlives a killed server and
+    # keeps the port bound against its restart.
     service.start()
     try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        _log.info("shutting down (queue state is durable; restart "
-                  "resumes unfinished grids)",
-                  extra={"event": "serve.shutdown"})
+        server = make_server(service, host=args.host, port=args.port,
+                             quiet=not args.verbose)
+        host, port = server.server_address[:2]
+        # The listen banner is a machine-readable contract (tests and
+        # tooling parse the URL from stdout, e.g. with --port 0); it
+        # must stay a flushed stdout print, not a log record on stderr.
+        print(f"repro service listening on http://{host}:{port} "
+              f"({config.shards} worker shards, state in {state_dir}, "
+              f"store in {service.store.directory})", flush=True)
+        _log.debug("service listening",
+                   extra={"event": "serve.listening", "host": str(host),
+                          "port": int(port), "shards": config.shards})
+        try:
+            server.serve_forever()
+        except KeyboardInterrupt:
+            _log.info("shutting down (queue state is durable; restart "
+                      "resumes unfinished grids)",
+                      extra={"event": "serve.shutdown"})
+        finally:
+            server.server_close()
     finally:
-        server.server_close()
         service.stop()
     return 0
 

@@ -208,13 +208,24 @@ class ResultSet:
         """Pair every non-baseline observation with its baseline run.
 
         The baseline is the observation sharing every coordinate except
-        ``axis``, where it has the value ``baseline``.  Returns the
+        ``axis``, where it has the value ``baseline``.  Coordinates whose
+        value is a function of the ``axis`` value (say, the ``policy``
+        each named config of an inherit-policy grid records) say nothing
+        beyond ``axis`` and are left out of that match.  Returns the
         non-baseline observations with ``baseline`` attached, making
         ``speedup_pct``/``weighted_speedup`` available as metrics.
         """
+        first: Dict[Tuple[str, object], object] = {}
+        varying = set()
+        for obs in self.observations:
+            value = obs.coords.get(axis)
+            for k, v in obs.coords.items():
+                if first.setdefault((k, value), v) != v:
+                    varying.add(k)
+
         def anchor(obs: Observation) -> Tuple:
             return tuple(sorted(
-                (k, v) for k, v in obs.coords.items() if k != axis))
+                (k, v) for k, v in obs.coords.items() if k in varying))
 
         baselines: Dict[Tuple, RunResult] = {}
         for obs in self.observations:

@@ -12,8 +12,8 @@ with an HTTP/JSON API, so many clients share one execution fabric:
 * :mod:`repro.service.store` - content-addressed result store with
   read-through caching and in-flight dedup (identical RunSpecs from
   different tenants execute exactly once),
-* :mod:`repro.service.service` - the orchestrator: fair weighted
-  round-robin across tenants, bounded queues with 429-style rejection,
+* :mod:`repro.service.service` - the orchestrator: fair round-robin
+  across tenants, bounded queues with 429-style rejection,
   durable grid records, restart reconciliation,
 * :mod:`repro.service.api` / :mod:`repro.service.client` - the HTTP
   surface and its thin client; ``repro serve`` / ``repro submit`` make

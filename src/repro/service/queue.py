@@ -26,7 +26,7 @@ instead of poisoning their grid - see
 :meth:`retry` / :meth:`quarantine` / :meth:`requeue_quarantined`.
 
 Scheduling is fair across tenants: :meth:`JobQueue.lease` picks the next
-tenant by smooth weighted round-robin, then hands the worker that
+tenant round-robin (equal shares), then hands the worker that
 tenant's best job *plus* every queued job sharing its warm group (see
 :func:`~repro.experiment.spec.warm_group_key`), so a shard still warms
 once per group exactly like an in-process Session.  Jobs marked
@@ -183,18 +183,16 @@ class JobQueue:
 
     def __init__(self, directory: Path,
                  max_pending_per_tenant: int = 64,
-                 max_pending_total: int = 256,
-                 tenant_weights: Optional[Mapping[str, float]] = None
-                 ) -> None:
+                 max_pending_total: int = 256) -> None:
         self.directory = Path(directory)
         self.max_pending_per_tenant = max_pending_per_tenant
         self.max_pending_total = max_pending_total
-        self.tenant_weights = dict(tenant_weights or {})
         self._lock = threading.RLock()
         self._jobs: Dict[str, Job] = {}
         self._seq = 0
         self._lease_seq = 0
-        self._wrr_credit: Dict[str, float] = {}
+        #: Lease sequence number of each tenant's latest lease.
+        self._served: Dict[str, int] = {}
         #: Jobs found mid-run at load time and requeued (resume evidence).
         self.resumed = 0
         #: Torn/corrupt job files moved aside at load time.
@@ -374,30 +372,14 @@ class JobQueue:
 
     # -- leasing -------------------------------------------------------
 
-    def _weight(self, tenant: str) -> float:
-        return max(float(self.tenant_weights.get(tenant, 1.0)), 1e-9)
-
     def _pick_tenant(self, tenants: List[str]) -> str:
-        """Smooth weighted round-robin over tenants with pending work.
+        """Round-robin over tenants with pending work.
 
-        Deterministic: every candidate earns its weight in credit each
-        round, the richest (ties broken alphabetically) wins and pays
-        back the total - so over N rounds each tenant is picked in
-        proportion to its weight, regardless of queue depth.
+        Deterministic: the least recently served tenant wins (ties
+        broken alphabetically), so every tenant gets an equal share of
+        leases regardless of queue depth.
         """
-        total = 0.0
-        best: Optional[str] = None
-        for tenant in sorted(tenants):
-            weight = self._weight(tenant)
-            self._wrr_credit[tenant] = \
-                self._wrr_credit.get(tenant, 0.0) + weight
-            total += weight
-            if best is None or \
-                    self._wrr_credit[tenant] > self._wrr_credit[best]:
-                best = tenant
-        assert best is not None
-        self._wrr_credit[best] -= total
-        return best
+        return min(sorted(tenants), key=lambda t: self._served.get(t, 0))
 
     def lease(self, max_jobs: int = 8) -> List[Job]:
         """Claim the next warm group of jobs for a worker (may be empty).
@@ -418,9 +400,7 @@ class JobQueue:
                      if j.state == PENDING and j.not_before <= now]
             if not ready:
                 return []
-            tenants = list({j.tenant for j in ready})
-            tenant = tenants[0] if len(tenants) == 1 \
-                else self._pick_tenant(tenants)
+            tenant = self._pick_tenant(list({j.tenant for j in ready}))
             mine = sorted((j for j in ready if j.tenant == tenant),
                           key=lambda j: (-j.priority, j.seq))
             head = mine[0]
@@ -432,6 +412,7 @@ class JobQueue:
                 mates.sort(key=lambda j: (-j.priority, j.seq))
                 group.extend(mates[:max(0, max_jobs - 1)])
             self._lease_seq += 1
+            self._served[tenant] = self._lease_seq
             waits = telemetry.REGISTRY.histogram(
                 "repro_job_queue_wait_seconds",
                 "Pending time between admission and lease")

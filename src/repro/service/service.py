@@ -25,15 +25,18 @@ neither stored nor queued, and everything already finished stays
 finished.
 
 Adaptive grids (:meth:`ExperimentService.submit_adaptive`) run the same
-:class:`~repro.adaptive.planner.AdaptivePlanner` the local
-``Session.run_adaptive`` loop uses, but round by round over the durable
+:class:`~repro.adaptive.planner.AdaptivePlanner` through the same
+driver (:func:`~repro.adaptive.orchestrate.drive`) as the local
+``Session.run_adaptive`` loop, but round by round over the durable
 queue: a supervisor thread (woken whenever a worker group settles)
-notices when every awaiting run of a round is in the store, restores
-the planner from the grid record, advances it, and admits the next
-round's refinements as *internal* jobs - so retries, quarantine, and
-tenant fairness apply to refinement rounds unchanged.  The planner
-state round-trips JSON through the grid record, which makes a killed
-adaptive orchestration resume mid-round on restart.
+advances each grid's in-memory planner once every run of its round is
+in the store or dead-lettered, and admits the next round's refinements
+as *internal* jobs - so retries, quarantine, and tenant fairness apply
+to refinement rounds unchanged.  No planner state is persisted: a
+restarted service rebuilds each unfinished grid's planner from the
+record's policy and cell specs and replays it over the store.  Replay
+reads the queue as it is now, so a run requeued out of quarantine
+since is replayed from its new result.
 """
 
 from __future__ import annotations
@@ -44,10 +47,10 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, \
-    Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro import telemetry
+from repro.adaptive.orchestrate import Outcome, drive
 from repro.adaptive.planner import AdaptivePlanner
 from repro.adaptive.policy import AdaptivePolicy
 from repro.adaptive.report import AdaptiveReport
@@ -68,7 +71,7 @@ from repro.telemetry import get_logger
 logger = get_logger("service")
 
 #: On-disk grid record format; unknown versions are skipped on load.
-GRID_FORMAT = 1
+GRID_FORMAT = 2
 
 # Grid lifecycle states (computed states in status() refine "active").
 ACTIVE = "active"
@@ -104,7 +107,6 @@ class ServiceConfig:
     max_group: int = 8
     max_pending_per_tenant: int = 64
     max_pending_total: int = 256
-    tenant_weights: Dict[str, float] = field(default_factory=dict)
     use_processes: bool = True
     poll_interval: float = 0.05
     #: How failed runs are retried and when they are quarantined.
@@ -124,8 +126,7 @@ class ExperimentService:
         self.queue = JobQueue(
             state_dir / "queue",
             max_pending_per_tenant=config.max_pending_per_tenant,
-            max_pending_total=config.max_pending_total,
-            tenant_weights=config.tenant_weights)
+            max_pending_total=config.max_pending_total)
         self.workers = WorkerPool(
             self.queue, self.store, shards=config.shards,
             max_group=config.max_group,
@@ -135,6 +136,8 @@ class ExperimentService:
             job_timeout=config.job_timeout)
         self._grids_dir = state_dir / "grids"
         self._grids: Dict[str, Dict[str, Any]] = {}
+        #: One planner per active, unfinished adaptive grid.
+        self._planners: Dict[str, AdaptivePlanner] = {}
         self._lock = threading.RLock()
         self._started_at = time.time()
         self.counters: Dict[str, int] = {
@@ -151,6 +154,20 @@ class ExperimentService:
         self.workers.on_settled = self._adaptive_wake.set
         self._load_grids()
         self._reconcile()
+        # Resume is replay: each unfinished adaptive grid gets a fresh
+        # planner, driven through every round the store already holds.
+        for grid_id, record in self._grids.items():
+            adaptive = record.get("adaptive")
+            if record["state"] != ACTIVE or adaptive is None \
+                    or adaptive["final"]:
+                continue
+            plan = RunPlan(None, [
+                GridPoint(coords=point["coords"], spec=spec_from_dict(
+                    adaptive["cells"][point["key"]]))
+                for point in record["points"]])
+            self._planners[grid_id] = AdaptivePlanner(
+                plan, AdaptivePolicy.from_dict(adaptive["policy"]))
+            self._drive(grid_id)
 
     # -- lifecycle -----------------------------------------------------
 
@@ -394,11 +411,13 @@ class ExperimentService:
                 },
                 "adaptive": {
                     "policy": policy.to_dict(),
-                    "state": planner.state_dict(),
+                    "cells": {key: spec.describe()
+                              for key, spec in plan.runs.items()},
                     "final": False,
                 },
             }
             self._grids[grid_id] = record
+            self._planners[grid_id] = planner
             self._persist_grid(record)
             self.counters["submissions"] += 1
             self.counters["adaptive_grids"] += 1
@@ -454,100 +473,84 @@ class ExperimentService:
         Returns how many grids advanced a round or finalised.
         """
         with self._lock:
-            grid_ids = [
-                grid_id for grid_id, record in self._grids.items()
-                if record["state"] == ACTIVE
-                and record.get("adaptive") is not None
-                and not record["adaptive"]["final"]]
-        advanced = 0
-        for grid_id in grid_ids:
-            if self._advance_adaptive(grid_id):
-                advanced += 1
-        return advanced
+            return sum(self._drive(grid_id)
+                       for grid_id in list(self._planners))
 
-    def _advance_adaptive(self, grid_id: str) -> bool:
-        """One supervision step for one adaptive grid.
+    def _drive(self, grid_id: str) -> bool:
+        """Advance one adaptive grid's planner as far as results allow.
 
-        A round is settled when every awaiting run is either in the
-        store or dead-lettered.  Runs still pending/running (or failed
-        and under retry) leave the grid untouched; a DONE job whose
-        stored result vanished is re-admitted like any lost run.
+        Returns True when the grid advanced a round or finalised.  A
+        finished grid's point keys are rewritten to each cell's final
+        (highest-fidelity) run key and its report is persisted.
         """
-        with self._lock:
-            record = self._grids.get(grid_id)
-            if record is None or record["state"] != ACTIVE:
-                return False
-            adaptive = record["adaptive"]
-            if adaptive["final"]:
-                return False
-            awaiting = [cell["key"]
-                        for cell in adaptive["state"]["cells"]
-                        if cell["awaiting"]]
+        record = self._grids[grid_id]
+        planner = self._planners[grid_id]
+        before = planner.round
+        if not drive(planner,
+                     lambda specs: self._settle_round(record, specs)):
+            return planner.round != before
+        del self._planners[grid_id]
+        final_keys = {cell.cell: cell.key
+                      for cell in planner.cells.values()}
+        for point in record["points"]:
+            point["key"] = final_keys.get(point["key"], point["key"])
+        record["adaptive"].update(final=True, round=planner.round,
+                                  report=planner.report().to_dict())
+        self.counters["adaptive_completed"] += 1
+        self._persist_grid(record)
+        return True
+
+    def _settle_round(self, record: Dict[str, Any],
+                      specs: Mapping[str, Any]) -> Optional[Outcome]:
+        """The service's ``settle`` for :func:`drive`.
+
+        Admits the round's runs the record does not hold yet (runs it
+        holds are looked up, never re-counted), and returns the round's
+        outcome once every run is in the store or dead-lettered.  A run
+        whose stored result vanished or failed verification is
+        re-admitted like any lost run.
+        """
+        new = {key: spec for key, spec in specs.items()
+               if key not in record["specs"]}
+        if new:
+            settled = self._settle_specs(
+                new, tenant=record["tenant"], priority=record["priority"],
+                grid_id=record["grid_id"], internal=True)
+            for key, spec in new.items():
+                record["specs"][key] = spec.describe()
+            admission = record["admission"]
+            for kind, count in settled.items():
+                admission[kind] += count
+            admission["unique_runs"] = len(record["specs"])
+            self.counters["adaptive_rounds"] += 1
+            self._persist_grid(record)
+            self.workers.kick()
 
         quarantined: Dict[str, str] = {}
         lost: List[str] = []
-        for key in awaiting:
+        for key in specs:
+            # Read the job before the store: workers store a result
+            # before they mark its job done, so a done job whose result
+            # is missing was really lost, not finished in between.
+            job = self.queue.get(key)
+            state = job.state if job is not None else None
             if key in self.store:
                 continue
-            job = self.queue.get(key)
-            if job is None or job.state == DONE:
+            if state in (None, DONE):
                 lost.append(key)
-            elif job.state == QUARANTINED:
+            elif state == QUARANTINED:
                 quarantined[key] = job.error or "quarantined"
             else:
-                return False  # pending, running, or retrying
+                return None  # pending, running, or retrying
+        if not lost:
+            results = {key: self.store.get(key) for key in specs
+                       if key not in quarantined}
+            lost = [key for key, result in results.items()
+                    if result is None]
         if lost:
-            with self._lock:
-                self._readmit(record, lost)
-            return False
-
-        with self._lock:
-            record = self._grids.get(grid_id)
-            if record is None or record["state"] != ACTIVE \
-                    or record["adaptive"]["final"]:
-                return False
-            adaptive = record["adaptive"]
-            policy = AdaptivePolicy.from_dict(adaptive["policy"])
-            planner = AdaptivePlanner.restore(policy, adaptive["state"])
-            if quarantined:
-                planner.mark_quarantined(quarantined)
-            results = {}
-            for cell in planner.cells.values():
-                if not cell.awaiting:
-                    continue
-                result = self.store.get(cell.key)
-                if result is None:  # quarantined by the integrity check
-                    self._readmit(record, [cell.key])
-                    return False
-                results[cell.key] = result
-            next_specs = planner.advance(results)
-            adaptive["state"] = planner.state_dict()
-            if next_specs:
-                settled = self._settle_specs(
-                    next_specs, tenant=record["tenant"],
-                    priority=record["priority"], grid_id=grid_id,
-                    internal=True)
-                for key, spec in next_specs.items():
-                    record["specs"][key] = spec.describe()
-                admission = record["admission"]
-                for kind, count in settled.items():
-                    admission[kind] += count
-                admission["unique_runs"] = len(record["specs"])
-                self.counters["adaptive_rounds"] += 1
-            else:
-                report = planner.report()
-                final_keys = {cell.cell: cell.key
-                              for cell in planner.cells.values()}
-                for point in record["points"]:
-                    point["key"] = final_keys.get(point["key"],
-                                                  point["key"])
-                adaptive["final"] = True
-                adaptive["report"] = report.to_dict()
-                self.counters["adaptive_completed"] += 1
-            self._persist_grid(record)
-        if next_specs:
-            self.workers.kick()
-        return True
+            self._readmit(record, lost)
+            return None
+        return results, quarantined
 
     # -- status / results ----------------------------------------------
 
@@ -582,12 +585,15 @@ class ExperimentService:
             adaptive = record.get("adaptive")
             adaptive_summary = None
             if adaptive is not None:
-                cells = adaptive["state"]["cells"]
+                planner = self._planners.get(grid_id)
                 adaptive_summary = {
                     "final": bool(adaptive["final"]),
-                    "round": adaptive["state"]["round"],
-                    "cells": len(cells),
-                    "active": sum(1 for c in cells if c["stop"] is None),
+                    "round": planner.round if planner is not None
+                    else adaptive.get("round", 0),
+                    "cells": len(adaptive["cells"]),
+                    "active": 0 if planner is None else sum(
+                        1 for cell in planner.cells.values()
+                        if cell.stop is None),
                 }
         tally = {PENDING: 0, RUNNING: 0, DONE: 0, FAILED: 0,
                  CANCELLED: 0, QUARANTINED: 0}
@@ -722,6 +728,9 @@ class ExperimentService:
             record = self._record(grid_id)
             if record["state"] != GRID_CANCELLED:
                 record["state"] = GRID_CANCELLED
+                planner = self._planners.pop(grid_id, None)
+                if planner is not None:
+                    record["adaptive"]["round"] = planner.round
                 self._persist_grid(record)
                 self.queue.detach_grid(grid_id)
         return self.status(grid_id)

@@ -16,10 +16,12 @@ import time
 import pytest
 
 from repro import telemetry
-from repro.adaptive import AdaptivePlanner, AdaptivePolicy, AdaptiveReport
+from repro.adaptive import AdaptivePlanner, AdaptivePolicy, \
+    AdaptiveReport, drive
 from repro.errors import ConfigError
 from repro.experiment import ExperimentSpec, Session
-from repro.experiment.spec import RunSpec, warm_group_key
+from repro.experiment.spec import GridPoint, RunPlan, RunSpec, \
+    warm_group_key
 from repro.sampling import SamplingConfig
 from repro.service import ExperimentService, ServiceConfig, make_server
 
@@ -152,14 +154,44 @@ class TestPlanner:
         with pytest.raises(ConfigError, match="already started"):
             planner.start()
 
-    def test_state_dict_round_trips_mid_flight(self):
+    def test_replay_from_stored_results_reaches_the_same_state(self):
+        # Resume is replay: a fresh planner driven over the results of
+        # an earlier orchestration takes the same decisions round for
+        # round, and stops on the first round the results lack.
+        pol = policy(target_relative_error=1e-9, compare_axis="seed")
         plan = grid().expand()
-        planner = AdaptivePlanner(plan, policy())
-        planner.start()
-        state = planner.state_dict()
-        restored = AdaptivePlanner.restore(policy(), state)
-        assert restored.state_dict() == state
-        assert set(restored.pending()) == set(planner.pending())
+        session = Session(cache=False)
+        results = {}
+        rounds = []
+
+        def run(specs):
+            rounds.append(dict(specs))
+            for obs in session.run(RunPlan(None, [
+                    GridPoint(coords={}, spec=s) for s in specs.values()])):
+                results[obs.spec.key()] = obs.result
+            return results, {}
+
+        first = AdaptivePlanner(plan, pol)
+        assert drive(first, run)
+        assert len(rounds) == 3
+
+        def stored(specs):
+            if not set(specs) <= set(results):
+                return None
+            return results, {}
+
+        replayed = AdaptivePlanner(plan, pol)
+        assert drive(replayed, stored)
+        assert [c.to_dict() for c in replayed.report().cells] == \
+            [c.to_dict() for c in first.report().cells]
+
+        # Results of the survey only: replay waits on round 2.
+        survey = {key: results[key] for key in rounds[0]}
+        partial = AdaptivePlanner(plan, pol)
+        assert not drive(partial, lambda specs: (
+            (survey, {}) if set(specs) <= set(survey) else None))
+        assert partial.round == 2
+        assert partial.pending() == rounds[1]
 
 
 class TestLocalOrchestration:
@@ -357,26 +389,92 @@ class TestServicePath:
             assert status["adaptive"]["round"] > 1
 
     def test_killed_service_resumes_adaptive_grid(self, tmp_path):
-        # Submit, let the survey round land, then "crash" (stop without
-        # finishing) and restart: the orchestration must run to the same
-        # conclusion from the persisted planner state.
-        reference = Session(cache=False).run_adaptive(grid(), policy())
+        # Run the survey, let the first service admit a refinement
+        # round, then "crash" it and revive it on the same state.  The
+        # revived service keeps no planner state from the first one: it
+        # replays the stored rounds and must reach the local loop's
+        # decisions cell for cell.
+        pol = policy(target_relative_error=1e-9, max_rounds=3,
+                     compare_axis="seed")
+        reference = Session(cache=False).run_adaptive(grid(), pol).adaptive
+        assert reference.rounds > len(reference.cells)  # it refines
         service = _service(tmp_path)
-        service.start()
+        # Workers only: the test ticks the supervisor itself, so the
+        # crash lands deterministically after round 2 is admitted and
+        # before any of its runs executes.
+        service.workers.start()
         try:
-            ticket = service.submit_adaptive(grid(), policy())
-            deadline = time.time() + 60
-            while time.time() < deadline:
-                if service.status(ticket["grid_id"])["done"] >= 1:
-                    break
-                time.sleep(0.02)
+            grid_id = service.submit_adaptive(grid(), pol)["grid_id"]
+            assert service.drain(timeout=60)
         finally:
-            service.stop()
-        with _service(tmp_path) as revived:
-            status = _wait_final(revived, ticket["grid_id"])
-            assert status["state"] in ("done", "degraded")
-            report = revived.result_set(ticket["grid_id"]).adaptive
-            assert report.winners == reference.adaptive.winners
+            service.workers.stop()
+        assert service.tick_adaptive() == 1
+        assert service.status(grid_id)["adaptive"]["round"] == 2
+        record_path = tmp_path / "state" / "grids" / f"{grid_id}.json"
+        crashed = json.loads(record_path.read_text())
+        assert not crashed["adaptive"]["final"]
+
+        before = counter_values()
+        revived = _service(tmp_path)
+        # Replay looked the admitted rounds up; it re-counted nothing.
+        assert revived.status(grid_id)["adaptive"]["round"] == 2
+        assert revived.status(grid_id)["admission"] == \
+            crashed["admission"]
+        with revived:
+            _wait_final(revived, grid_id)
+            rs = revived.result_set(grid_id)
+        after = counter_values()
+        report = rs.adaptive
+        assert [c.to_dict() for c in report.cells] == \
+            [c.to_dict() for c in reference.cells]
+        assert report.winners == reference.winners
+        # The revived process counted every round it replayed, so its
+        # counter deltas reconcile with the report it finished.
+        assert after["rounds"] - before["rounds"] == report.rounds
+        assert after["escalations"] - before["escalations"] == \
+            report.escalations
+        assert after["pruned"] - before["pruned"] == report.pruned
+        assert after["spent"] - before["spent"] == \
+            report.instructions_spent
+        assert after["saved"] - before["saved"] == \
+            report.instructions_saved
+        # Every run was admitted exactly once across both processes.
+        admission = revived.status(grid_id)["admission"]
+        assert admission["unique_runs"] == report.rounds
+        assert admission["new_jobs"] + admission["store_hits"] + \
+            admission["inflight_dedup"] == report.rounds
+
+    def test_replay_reads_the_queue_as_it_is_now(self, tmp_path):
+        # A cell whose survey run was dead-lettered retires as
+        # "quarantined".  Once that run is requeued and lands, a
+        # restarted service replays the cell from its new result and
+        # decides exactly as a fault-free local run does.
+        pol = policy(target_relative_error=1e-9, max_rounds=3,
+                     compare_axis="seed")
+        reference = Session(cache=False).run_adaptive(grid(), pol).adaptive
+        service = _service(tmp_path)
+        grid_id = service.submit_adaptive(grid(), pol)["grid_id"]
+        poisoned = service.queue.lease(max_jobs=1)[0]
+        service.queue.quarantine(poisoned.key, "injected fault",
+                                 lease=poisoned.lease)
+        service.workers.start()
+        try:
+            assert service.drain(timeout=60)
+            assert service.tick_adaptive() == 1
+            assert service.status(grid_id)["adaptive"]["active"] == 1
+            assert service.requeue_quarantined([poisoned.key]) == \
+                {"requeued": 1}
+            assert service.drain(timeout=60)
+        finally:
+            service.workers.stop()
+
+        revived = _service(tmp_path)
+        assert revived.status(grid_id)["adaptive"]["active"] == 2
+        with revived:
+            _wait_final(revived, grid_id)
+            report = revived.result_set(grid_id).adaptive
+        assert [c.to_dict() for c in report.cells] == \
+            [c.to_dict() for c in reference.cells]
 
 
 @contextlib.contextmanager

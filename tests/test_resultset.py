@@ -59,6 +59,23 @@ class TestSpeedups:
         val = sp.gmean_speedup_pct()
         assert isinstance(val, float)
 
+    def test_speedup_vs_pairs_configs_of_an_inherit_policy_grid(self):
+        # Each named config records its own policy coordinate; that
+        # coordinate follows from the config, so it must not split the
+        # pairing anchor.
+        cfg = tiny_config()
+        spec = ExperimentSpec(workloads=["lbm", "copy"],
+                              configs={"a": cfg,
+                                       "b": cfg.with_writeback("bard-h")})
+        grid = Session(cache=False).run(spec)
+        sp = grid.speedup_vs("config", "a")
+        assert sp.axis_values("config") == ["b"]
+        assert len(sp) == 2
+        for obs in sp:
+            base = grid.filter(config="a",
+                               workload=obs.coords["workload"]).only()
+            assert obs.baseline == base.result
+
     def test_missing_baseline_raises(self, rs):
         with pytest.raises(ValueError):
             rs.filter(policy="bard-h").speedup_vs("policy")

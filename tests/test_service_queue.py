@@ -125,19 +125,6 @@ class TestScheduling:
         _admit(queue, [urgent], priority=5)
         assert queue.lease(max_jobs=1)[0].key == urgent.key()
 
-    def test_weighted_fair_share(self, tmp_path):
-        queue = JobQueue(tmp_path,
-                         tenant_weights={"alice": 2.0, "bob": 1.0})
-        _admit(queue, [_spec(seed=s) for s in range(1, 5)],
-               tenant="alice")
-        _admit(queue, [_spec(seed=s) for s in range(11, 15)],
-               tenant="bob")
-        order = [queue.lease(max_jobs=1)[0].tenant for _ in range(6)]
-        # Smooth WRR: alice gets twice bob's share, no starvation.
-        assert order.count("alice") == 4
-        assert order.count("bob") == 2
-        assert order[1] == "bob"  # interleaved, not front-loaded
-
     def test_equal_weights_alternate(self, tmp_path):
         queue = JobQueue(tmp_path)
         _admit(queue, [_spec(seed=s) for s in (1, 2)], tenant="alice")
