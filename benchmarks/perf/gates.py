@@ -129,7 +129,9 @@ def sampling(quick):
 
 def telemetry(quick):
     """copy on the 8-core system with telemetry off vs on: the median of
-    5 back-to-back CPU-time pairs after one untimed priming run."""
+    5 back-to-back CPU-time pairs after one untimed priming run.  The
+    pairs alternate which leg runs first, so a drift in host speed
+    within a pair does not bias every pair the same way."""
     config = _config(*((2_000, 6_000) if quick else (8_000, 24_000)))
 
     def run(enabled):
@@ -142,9 +144,13 @@ def telemetry(quick):
     ratios = []
     try:
         run(False)
-        for _ in range(5):
-            disabled_s, _ = run(False)
-            enabled_s, result = run(True)
+        for pair in range(5):
+            if pair % 2:
+                enabled_s, result = run(True)
+                disabled_s, _ = run(False)
+            else:
+                disabled_s, _ = run(False)
+                enabled_s, result = run(True)
             ratios.append(enabled_s / disabled_s - 1.0)
     finally:
         tele.get_tracer().reset()

@@ -5,8 +5,11 @@ Runs the selected tables below and the selected rows of the claims
 ledger (:data:`repro.analysis.claims.CLAIMS`) through one
 :class:`~repro.experiment.Session` that fans out over all CPUs.  Prints
 each table and a scorecard, writes the scorecard as JSON (claim, paper,
-measured, direction, ``direction_match``, ``magnitude_ratio``) and exits
-1 if any claim's direction does not hold.
+measured, direction, ``direction_match``, ``sign_match``,
+``magnitude_ratio``) and exits 1 if any claim's direction does not hold.
+``sign_match`` is False on a row that holds only through its tolerance
+(the measurement lies on the other side of the bound); it never changes
+the exit code.
 
 Usage (from the repository root)::
 
@@ -343,14 +346,18 @@ def main(argv=None) -> int:
     records = [score(c, c.measure(session.run(c.grid(scale))), scale)
                for c in claims]
     held = sum(r["direction_match"] for r in records)
+    by_tolerance = sum(r["direction_match"] and r["sign_match"] is False
+                       for r in records)
     print()
     print(format_table(
-        ["claim", "paper", "measured", "direction", "holds"],
+        ["claim", "paper", "measured", "direction", "holds", "sign"],
         [(r["claim"], "-" if r["paper"] is None else r["paper"],
-          r["measured"], r["direction"], r["direction_match"])
+          r["measured"], r["direction"], r["direction_match"],
+          "-" if r["sign_match"] is None else r["sign_match"])
          for r in records],
         title=f"Scorecard ({scale} scale, seed {SEED}): {held} of "
-              f"{len(records)} claim directions hold"))
+              f"{len(records)} claim directions hold, {by_tolerance} "
+              f"only through tolerance"))
     args.out.write_text(json.dumps(
         {"scale": scale, "seed": SEED, "claims": records}, indent=2) + "\n")
     return 0 if held == len(records) else 1

@@ -195,6 +195,15 @@ class Claim:
     def holds(self, measured: float) -> bool:
         return OPS[self.op](measured, self.bound, self.tolerance)
 
+    def holds_without_tolerance(self, measured: float) -> Optional[bool]:
+        """Whether an ordering claim holds with its tolerance taken away:
+        the measurement lies on the paper's side of the bound (for a
+        bound of 0, it has the sign the paper reports).  None for a
+        ``~`` claim, whose tolerance is the claim itself."""
+        if self.op == "~":
+            return None
+        return OPS[self.op](measured, self.bound, 0.0)
+
 
 def _num(value: Optional[float]) -> Optional[float]:
     return None if value is None else round(value, 4)
@@ -202,7 +211,9 @@ def _num(value: Optional[float]) -> Optional[float]:
 
 def score(claim: Claim, measured: float, scale: str) -> Dict[str, object]:
     """The claim's scorecard record; ``magnitude_ratio`` is measured /
-    paper, ``None`` when the paper gives no value or zero."""
+    paper, ``None`` when the paper gives no value or zero.
+    ``sign_match`` is :meth:`Claim.holds_without_tolerance`: a row whose
+    ``direction_match`` holds only through its tolerance reads False."""
     paper = claim.paper_value(scale)
     direction = f"{claim.op} {claim.bound:g}"
     if claim.tolerance:
@@ -215,6 +226,7 @@ def score(claim: Claim, measured: float, scale: str) -> Dict[str, object]:
         "measured": _num(measured),
         "direction": direction,
         "direction_match": claim.holds(measured),
+        "sign_match": claim.holds_without_tolerance(measured),
         "magnitude_ratio": _num(measured / paper) if paper else None,
     }
 

@@ -30,7 +30,8 @@ from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, \
 from repro.cache.line import CacheSet
 from repro.cache.mshr import DRAINING, DoneCallback, FILLING, \
     FULL_WORD_MASK, ISSUED, MSHREntry, WORDS_PER_LINE
-from repro.cache.replacement import ReplacementPolicy, pc_signature
+from repro.cache.replacement import ReplacementPolicy
+from repro.cache.replacement.ship import SHCT_SIZE
 from repro.clock import TICKS_PER_CPU_CYCLE
 from repro.dram.commands import LINE_BITS, LINE_SIZE
 from repro.errors import ConfigError, SimulationError
@@ -44,6 +45,11 @@ _LINE_MASK = ~(LINE_SIZE - 1)
 #: Mask selecting the word index of an address (see repro.cache.mshr).
 _WORD_IDX_MASK = WORDS_PER_LINE - 1
 
+#: Index mask of :func:`repro.cache.replacement.ship.pc_signature`, the
+#: SHiP hash every install stamps on its line (inlined there: it runs once
+#: per fill and per warm install).
+_SIG_MASK = SHCT_SIZE - 1
+
 #: One queued (not yet admitted) access in an MSHR pipeline:
 #: (addr, is_write, pc, core_id, is_prefetch, on_done, queued_tick).
 _PendingAccess = Tuple[int, bool, int, int, bool, Optional[DoneCallback],
@@ -51,7 +57,11 @@ _PendingAccess = Tuple[int, bool, int, int, bool, Optional[DoneCallback],
 
 
 class LowerLevel(Protocol):
-    """What a cache needs from the level below it."""
+    """What a cache needs from the memory side below the last level.
+
+    A cache above another cache calls the lower cache's per-instance
+    ``access`` (and ``writeback``) directly instead.
+    """
 
     def read(self, line_addr: int, now: int, on_done: DoneCallback,
              core_id: int, is_prefetch: bool, pc: int = 0) -> None: ...
@@ -166,7 +176,8 @@ class Cache:
         ]
         self.mshr: Dict[int, MSHREntry] = {}
         self._outstanding = 0
-        self._issue_queue: Deque[int] = deque()
+        #: Allocated misses waiting for an outstanding slot below.
+        self._issue_queue: Deque[MSHREntry] = deque()
 
         # MSHR pipeline (opt-in; see repro.cache.mshr).  The access
         # entry point, ``access(addr, is_write, pc, now, on_done,
@@ -199,6 +210,9 @@ class Cache:
         # to warm there).
         self._warm_lower = getattr(lower, "warm_access", None)
         self._warm_lower_wb = getattr(lower, "warm_writeback", None)
+        #: A miss descends into a lower cache through its ``access`` and
+        #: into the memory side through ``LowerLevel.read``.
+        self._lower_is_cache = isinstance(lower, Cache)
 
         if self.wb_policy is not None:
             self.wb_policy.attach(self)
@@ -384,15 +398,18 @@ class Cache:
                 mshr[la] = entry
                 occ = len(mshr)
                 hist = stats.mshr_occupancy_hist
-                if len(hist) <= occ:
+                try:
+                    hist[occ] += 1
+                except IndexError:
+                    # A new occupancy high: grow the histogram to it.
                     hist.extend([0] * (occ + 1 - len(hist)))
-                hist[occ] += 1
+                    hist[occ] += 1
                 # At most ``mshr_count`` misses outstanding below; the
                 # rest wait in the issue queue for a fill to free one.
                 if self._outstanding >= self.mshr_count:
-                    self._issue_queue.append(la)
+                    self._issue_queue.append(entry)
                 else:
-                    self._issue(la, now)
+                    self._issue(entry, now)
 
         # Demand accesses train the prefetcher, which may request lines
         # that are neither resident nor already outstanding.
@@ -407,19 +424,18 @@ class Cache:
             if tla == la or tla in tags[(tla >> LINE_BITS) & set_mask] \
                     or tla in mshr:
                 continue
-            self.access(tla, False, pc, now, None, is_prefetch=True)
+            self.access(tla, False, pc, now, None, 0, True)
 
     # ------------------------------------------------------------------
     # Miss handling
     # ------------------------------------------------------------------
 
-    def _issue(self, line_addr: int, now: int) -> None:
-        entry = self.mshr[line_addr]
+    def _issue(self, entry: MSHREntry, now: int) -> None:
         entry.issued = True
         entry.state = ISSUED
         self._outstanding += 1
         self.engine.schedule(now + self.hit_latency_ticks,
-                             self._send, line_addr, entry)
+                             self._send, entry.line_addr, entry)
 
     def _send(self, line_addr: int, entry: MSHREntry) -> None:
         """Forward an issued miss to the lower level (tag latency elapsed)."""
@@ -427,9 +443,13 @@ class Cache:
             # drain() completed this miss functionally before the send.
             return
         entry.state = FILLING
-        self.lower.read(line_addr, self.engine.now,
-                        partial(self._on_fill, line_addr), entry.core_id,
-                        entry.is_prefetch, pc=entry.pc)
+        on_fill = partial(self._on_fill, line_addr)
+        if self._lower_is_cache:
+            self.lower.access(line_addr, False, entry.pc, self.engine.now,
+                              on_fill, entry.core_id, entry.is_prefetch)
+        else:
+            self.lower.read(line_addr, self.engine.now, on_fill,
+                            entry.core_id, entry.is_prefetch, entry.pc)
 
     def _on_fill(self, line_addr: int, now: int) -> None:
         if self._cancelled_fills:
@@ -503,7 +523,7 @@ class Cache:
         line.valid = True
         line.dirty = dirty
         line.line_addr = line_addr
-        line.signature = pc_signature(pc)
+        line.signature = (pc ^ (pc >> 14) ^ (pc >> 28)) & _SIG_MASK
         line.reused = False
         line.prefetched = is_prefetch
         repl.on_fill(set_idx, way, pc, is_prefetch)
@@ -568,12 +588,6 @@ class Cache:
             return
         self._install(la, True, 0, now, False)
 
-    # Lower-level protocol alias: an upper cache calls ``read`` on us.
-    def read(self, line_addr: int, now: int, on_done: DoneCallback,
-             core_id: int, is_prefetch: bool, pc: int = 0) -> None:
-        self.access(line_addr, False, pc, now, on_done, core_id=core_id,
-                    is_prefetch=is_prefetch)
-
     # ------------------------------------------------------------------
     # Functional warmup path (zero engine events)
     # ------------------------------------------------------------------
@@ -593,8 +607,10 @@ class Cache:
         warmup instruction per core.
         """
         la = addr & _LINE_MASK
-        set_idx = (la >> LINE_BITS) & self._set_mask
-        way = self._tags[set_idx].get(la)
+        set_mask = self._set_mask
+        tags = self._tags
+        set_idx = (la >> LINE_BITS) & set_mask
+        way = tags[set_idx].get(la)
         if way is not None:
             line = self.sets[set_idx].lines[way]
             line.reused = True
@@ -609,15 +625,12 @@ class Cache:
             if self._warm_lower is not None:
                 self._warm_lower(la, False, pc, is_prefetch)
             self._warm_install(la, is_write, pc, is_prefetch)
-        if self.prefetcher is not None and not is_prefetch:
-            for target in self.prefetcher.on_access(addr, pc,
-                                                    way is not None):
-                tla = target & _LINE_MASK
-                if tla == la:
-                    continue
-                if tla in self._tags[(tla >> LINE_BITS) & self._set_mask]:
-                    continue
-                self.warm_access(tla, False, pc, is_prefetch=True)
+        if is_prefetch or self.prefetcher is None:
+            return
+        for target in self.prefetcher.on_access(addr, pc, way is not None):
+            tla = target & _LINE_MASK
+            if tla != la and tla not in tags[(tla >> LINE_BITS) & set_mask]:
+                self.warm_access(tla, False, pc, True)
 
     def _warm_install(self, line_addr: int, dirty: bool, pc: int,
                       is_prefetch: bool) -> None:
@@ -630,40 +643,43 @@ class Cache:
         """
         set_idx = (line_addr >> LINE_BITS) & self._set_mask
         cset = self.sets[set_idx]
+        lines = cset.lines
         tags = self._tags[set_idx]
+        repl = self.repl
         way = None if len(tags) >= self.ways else cset.find_invalid()
         if way is None:
-            way = self.repl.victim(set_idx, cset.lines)
-            victim = cset.lines[way]
+            way = repl.victim(set_idx, lines)
+            victim = lines[way]
             del tags[victim.line_addr]
-            on_eviction = self.repl.on_eviction
+            on_eviction = repl.on_eviction
             if on_eviction is not None:
                 on_eviction(set_idx, way, victim)
             if victim.dirty and self._warm_lower_wb is not None:
                 self._warm_lower_wb(victim.line_addr)
-            victim.reset()
-        line = cset.lines[way]
+        # The victim's line object is refilled in place, every field
+        # overwritten.
+        line = lines[way]
         tags[line_addr] = way
         line.valid = True
         line.dirty = dirty
         line.line_addr = line_addr
-        line.signature = pc_signature(pc)
+        line.signature = (pc ^ (pc >> 14) ^ (pc >> 28)) & _SIG_MASK
         line.reused = False
         line.prefetched = is_prefetch
-        self.repl.on_fill(set_idx, way, pc, is_prefetch)
+        repl.on_fill(set_idx, way, pc, is_prefetch)
 
     def warm_writeback(self, line_addr: int) -> None:
         """Receive a dirty victim from the level above during warmup."""
         la = line_addr & _LINE_MASK
-        found = self.find_line(la)
-        if found is not None:
-            set_idx, way = found
+        set_idx = (la >> LINE_BITS) & self._set_mask
+        way = self._tags[set_idx].get(la)
+        if way is not None:
             line = self.sets[set_idx].lines[way]
             line.reused = True
             line.dirty = True
             self.repl.on_hit(set_idx, way, 0)
             return
-        self._warm_install(la, True, 0, is_prefetch=False)
+        self._warm_install(la, True, 0, False)
 
     # ------------------------------------------------------------------
     # Drain / warm-state snapshot / restore

@@ -50,6 +50,7 @@ import argparse
 import dataclasses
 import json
 import os
+import signal
 import sys
 import time
 from dataclasses import replace
@@ -505,6 +506,20 @@ def _cmd_serve(args) -> int:
     # child holding the listening socket outlives a killed server and
     # keeps the port bound against its restart.
     service.start()
+    # SIGTERM stops the service like Ctrl-C, so service.stop() runs and
+    # takes the worker pool and the heartbeat Manager down with it.
+    # Processes forked later (a pool recycled after a hung job) keep
+    # the default action.
+    serve_pid = os.getpid()
+
+    def on_sigterm(signum, frame):
+        if os.getpid() != serve_pid:
+            signal.signal(signum, signal.SIG_DFL)
+            os.kill(os.getpid(), signum)
+            return
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGTERM, on_sigterm)
     try:
         server = make_server(service, host=args.host, port=args.port,
                              quiet=not args.verbose)
@@ -528,6 +543,7 @@ def _cmd_serve(args) -> int:
             server.server_close()
     finally:
         service.stop()
+        signal.signal(signal.SIGTERM, previous)
     return 0
 
 

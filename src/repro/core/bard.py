@@ -96,11 +96,6 @@ class BardPolicy(WritebackPolicy):
     # Tracker plumbing
     # ------------------------------------------------------------------
 
-    def _improves_blp(self, line_addr: int) -> bool:
-        """True when the line maps to a bank without a pending write."""
-        return not self.tracker.is_pending(
-            *self.mapping.channel_bank(line_addr))
-
     def on_writeback(self, line_addr: int) -> None:
         self.tracker.mark_writeback(*self.mapping.channel_bank(line_addr))
 
@@ -117,7 +112,8 @@ class BardPolicy(WritebackPolicy):
         if victim.valid and victim.dirty:
             if not self.use_eviction:
                 return default_way
-            if self._improves_blp(victim.line_addr):
+            if not self.tracker.is_pending(
+                    *self.mapping.channel_bank(victim.line_addr)):
                 # The bank has no pending write: the default eviction
                 # already improves BLP.
                 return default_way
@@ -138,19 +134,27 @@ class BardPolicy(WritebackPolicy):
 
     def _scan_for_low_cost_dirty(self, set_idx: int,
                                  skip_way: Optional[int]) -> Optional[int]:
-        """First dirty line (most-evictable first) whose bank is write-free."""
+        """First dirty line (most-evictable first) whose bank is write-free.
+
+        Most scans find no such line, so the candidates are collected in
+        way order first and the set is put in eviction order only when
+        there are two or more to choose among.
+        """
         cache = self.cache
         lines = cache.sets[set_idx].lines
         channel_bank = self.mapping.channel_bank
         is_pending = self.tracker.is_pending
+        candidates = [
+            way for way, line in enumerate(lines)
+            if line.dirty and line.valid and way != skip_way
+            and not is_pending(*channel_bank(line.line_addr))
+        ]
+        if len(candidates) < 2:
+            return candidates[0] if candidates else None
         for way in cache.repl.eviction_order(set_idx, lines):
-            if way == skip_way:
-                continue
-            line = lines[way]
-            if line.valid and line.dirty and not is_pending(
-                    *channel_bank(line.line_addr)):
+            if way in candidates:
                 return way
-        return None
+        return None  # pragma: no cover - eviction_order lists every way
 
     # ------------------------------------------------------------------
     # Accuracy probe (instrumentation only)

@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat, starmap
 from typing import Callable, Deque, Iterator, Optional
 
 from repro.clock import TICKS_PER_CPU_CYCLE
@@ -237,9 +238,8 @@ class Core:
 
     def skip_trace(self, records: int) -> None:
         """Fast-forward the trace cursor (warm-state checkpoint restore)."""
-        trace_next = self.trace.__next__
-        for _ in range(records):
-            trace_next()
+        # ``records`` calls of the trace's ``__next__``, driven from C.
+        deque(starmap(self.trace.__next__, repeat((), records)), 0)
 
     # ------------------------------------------------------------------
     # Event plumbing

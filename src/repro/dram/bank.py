@@ -46,6 +46,14 @@ class AccessKind(enum.Enum):
     ROW_CONFLICT = "conflict"
 
 
+# Bound once: an Enum class-attribute lookup costs several times a
+# global's, and ``earliest_burst`` / ``commit`` run per scheduling step.
+_WRITE = Op.WRITE
+_ROW_HIT = AccessKind.ROW_HIT
+_ROW_CLOSED = AccessKind.ROW_CLOSED
+_ROW_CONFLICT = AccessKind.ROW_CONFLICT
+
+
 @dataclass(slots=True)
 class BankStats:
     """Command counters for one bank (feeds the power model)."""
@@ -125,10 +133,10 @@ class Bank:
         request per scheduling decision.
         """
         if self.open_row is None:
-            return AccessKind.ROW_CLOSED
+            return _ROW_CLOSED
         if self.open_row == row:
-            return AccessKind.ROW_HIT
-        return AccessKind.ROW_CONFLICT
+            return _ROW_HIT
+        return _ROW_CONFLICT
 
     def earliest_burst(self, row: int, op: Op, ready: int) -> int:
         """Earliest cycle the data burst for (row, op) could start.
@@ -141,7 +149,7 @@ class Bank:
         bankgroup constraints on top.
         """
         open_row = self.open_row
-        is_write = op is Op.WRITE
+        is_write = op is _WRITE
         if open_row == row:
             # Row hit: RD/WR may issue once tRCD has elapsed since ACT.
             cmd_ready = self.act_cycle + self._trcd
@@ -158,7 +166,7 @@ class Bank:
         # recovery from the previous burst and tRAS for the open row.
         pre_burst = self._pre_burst_wr if is_write else self._pre_burst_rd
         recovery = self.last_burst_cycle - pre_burst + (
-            self._recovery_wr if self.last_burst_op is Op.WRITE
+            self._recovery_wr if self.last_burst_op is _WRITE
             else self._recovery_rd
         )
         pre = self.act_cycle + self._tras
@@ -175,12 +183,12 @@ class Bank:
         """
         stats = self.stats
         kind = self.classify(row)
-        if kind is AccessKind.ROW_HIT:
+        if kind is _ROW_HIT:
             stats.row_hits += 1
         else:
-            act_burst = (self._act_burst_wr if op is Op.WRITE
+            act_burst = (self._act_burst_wr if op is _WRITE
                          else self._act_burst_rd)
-            if kind is AccessKind.ROW_CLOSED:
+            if kind is _ROW_CLOSED:
                 stats.activates += 1
                 stats.row_closed += 1
             else:
@@ -191,7 +199,7 @@ class Bank:
             self.open_row = row
         self.last_burst_cycle = burst_cycle
         self.last_burst_op = op
-        if op is Op.WRITE:
+        if op is _WRITE:
             stats.writes += 1
         else:
             stats.reads += 1
@@ -212,7 +220,7 @@ class Bank:
         if now > pre:
             pre = now
         drain = self.last_burst_cycle + (
-            self._wr_to_pre if self.last_burst_op is Op.WRITE
+            self._wr_to_pre if self.last_burst_op is _WRITE
             else self._rd_to_pre
         )
         if drain > pre:

@@ -97,45 +97,47 @@ class Channel:
     def submit(self, req: MemRequest) -> None:
         """Accept a read or write request for this channel.
 
-        The sub-channel is kicked only when its scheduler can issue, at
-        the first cycle it can (see :meth:`SubChannel.on_arrival`).
+        A read that hits a buffered (or staged) write is forwarded
+        without touching DRAM.  The sub-channel is kicked only when its
+        scheduler can issue, at the first cycle it can (see
+        :meth:`SubChannel.on_arrival`).
         """
         sc_idx = req.coord.subchannel
         sc = self.subchannels[sc_idx]
-        now_cycle = self._now_cycle()
+        engine = self._engine
+        now_tick = engine.now if engine is not None else 0
+        now_cycle = -(-now_tick // TICKS_PER_DRAM_CYCLE)  # ceil division
         req.arrival_cycle = now_cycle
         stats = self.stats
         if not req.is_write:
             stats.reads_received += 1
-            if self._forwardable(sc_idx, req.addr):
+            addr = req.addr
+            staged = self._staged_writes[sc_idx]
+            if addr in sc.wq.by_addr or (
+                    staged and any(r.addr == addr for r in staged)):
                 stats.forwarded_reads += 1
-                self._complete_read_at(req, now_cycle + _FORWARD_LATENCY)
+                self._complete_read_at(req, now_cycle + _FORWARD_LATENCY,
+                                       now_tick)
                 return
-            req = self._wrap_read(req)
-            if not sc.enqueue_read(req):
+            self._wrap_read(req, now_tick)
+            if not sc.rq.push(req):
                 stats.staged_reads += 1
                 self._staged_reads[sc_idx].append(req)
         else:
             stats.writes_received += 1
-            if not sc.enqueue_write(req):
+            if not sc.wq.push(req):
                 stats.staged_writes += 1
                 self._staged_writes[sc_idx].append(req)
         issue_cycle = sc.on_arrival(now_cycle)
-        if issue_cycle is not None:
+        if issue_cycle is not None and not self._tick_pending[sc_idx]:
             self._kick(sc_idx, issue_cycle)
 
-    def _forwardable(self, sc_idx: int, addr: int) -> bool:
-        if self.subchannels[sc_idx].wq.contains_addr(addr):
-            return True
-        staged = self._staged_writes[sc_idx]
-        if not staged:
-            return False
-        return any(r.addr == addr for r in staged)
+    def _wrap_read(self, req: MemRequest, arrival: int) -> None:
+        """Wrap the completion callback to account read latency.
 
-    def _wrap_read(self, req: MemRequest) -> MemRequest:
-        """Wrap the completion callback to account read latency."""
+        ``arrival`` is the tick the read reached the channel.
+        """
         inner = req.on_complete
-        arrival = self._now_tick()
 
         def done(cycle: int) -> None:
             tick = cycle * TICKS_PER_DRAM_CYCLE
@@ -150,11 +152,12 @@ class Channel:
                 self._engine.schedule(tick, inner, tick)
 
         req.on_complete = done
-        return req
 
-    def _complete_read_at(self, req: MemRequest, cycle: int) -> None:
+    def _complete_read_at(self, req: MemRequest, cycle: int,
+                          arrival: int) -> None:
+        """Complete a forwarded read at ``cycle`` (arrived at tick
+        ``arrival``)."""
         tick = cycle * TICKS_PER_DRAM_CYCLE
-        arrival = self._now_tick()
         inner = req.on_complete
         self.stats.reads_completed += 1
         if tick > arrival:
@@ -166,43 +169,41 @@ class Channel:
     # Clock bridging and scheduling
     # ------------------------------------------------------------------
 
-    def _now_tick(self) -> int:
-        return self._engine.now if self._engine is not None else 0
-
     def _now_cycle(self) -> int:
-        tick = self._now_tick()
+        """The current engine tick as a DRAM cycle (rounded up)."""
+        tick = self._engine.now if self._engine is not None else 0
         return -(-tick // TICKS_PER_DRAM_CYCLE)  # ceil division
 
     def _kick(self, sc_idx: int, cycle: int) -> None:
-        """Ensure a scheduler tick for sub-channel ``sc_idx`` by ``cycle``.
+        """Schedule the scheduler tick of sub-channel ``sc_idx`` at ``cycle``.
 
-        Kick cycles never decrease - arrivals and the bus reservation only
-        move forward - so a tick already pending is due at or before
-        ``cycle`` and serves this kick too.
+        Callers kick only while no tick is pending: kick cycles never
+        decrease - arrivals and the bus reservation only move forward -
+        so a tick already pending is due at or before ``cycle`` and
+        serves that kick too.
         """
-        if self._tick_pending[sc_idx]:
-            return
         self._tick_pending[sc_idx] = True
         self._engine.schedule(cycle * TICKS_PER_DRAM_CYCLE, self._tick_sc,
                               sc_idx)
 
     def _tick_sc(self, sc_idx: int) -> None:
-        self._tick_pending[sc_idx] = False
-        cycle = self._engine.now // TICKS_PER_DRAM_CYCLE
-        nxt = self.subchannels[sc_idx].tick(cycle)
+        tick_pending = self._tick_pending
+        tick_pending[sc_idx] = False
+        nxt = self.subchannels[sc_idx].tick(
+            self._engine.now // TICKS_PER_DRAM_CYCLE)
         if self._staged_writes[sc_idx] or self._staged_reads[sc_idx]:
             self._replay_staged(sc_idx)
-        if nxt is not None:
+        if nxt is not None and not tick_pending[sc_idx]:
             self._kick(sc_idx, nxt)
 
     def _replay_staged(self, sc_idx: int) -> None:
         """Move staged requests into the bounded queues as space frees."""
         sc = self.subchannels[sc_idx]
         staged_w = self._staged_writes[sc_idx]
-        while staged_w and sc.enqueue_write(staged_w[0]):
+        while staged_w and sc.wq.push(staged_w[0]):
             staged_w.popleft()
         staged_r = self._staged_reads[sc_idx]
-        while staged_r and sc.enqueue_read(staged_r[0]):
+        while staged_r and sc.rq.push(staged_r[0]):
             staged_r.popleft()
 
     # ------------------------------------------------------------------

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 #: Bytes per cache line / DRAM burst, fixed by the paper's configuration.
@@ -24,6 +23,11 @@ class Op(enum.Enum):
 
     READ = "read"
     WRITE = "write"
+
+
+#: ``Op.WRITE`` bound once (an Enum class-attribute lookup costs several
+#: times a global's; the constructor below runs per memory request).
+_WRITE = Op.WRITE
 
 
 class DramCoord(NamedTuple):
@@ -58,7 +62,6 @@ class DramCoord(NamedTuple):
 _request_ids = itertools.count()
 
 
-@dataclass(eq=False, slots=True)
 class MemRequest:
     """One cache-line request presented to the DRAM channel.
 
@@ -69,41 +72,46 @@ class MemRequest:
     The scheduler examines every queued request's coordinates on each
     decision, so the fields it reads per comparison (``is_write``,
     ``bankgroup``, ``sc_bank``, ``row``) are flattened out of ``op`` /
-    ``coord`` once at construction; the dataclass itself is slotted.
-    Requests compare by identity (``eq=False``): every instance carries a
-    unique ``req_id``, so field-wise equality could only ever match the
-    same object - and queue removal does a ``list.remove`` per issued
-    request, which would otherwise run the generated ``__eq__`` against
-    every earlier entry.
+    ``coord`` once at construction; the class is slotted and its
+    constructor written out, since one runs per memory request.
+    Requests compare by identity: every instance carries a unique
+    ``req_id``, so field-wise equality could only ever match the same
+    object - and queue removal does a ``list.remove`` per issued request,
+    which would otherwise compare fields against every earlier entry.
     """
 
-    addr: int
-    op: Op
-    coord: DramCoord
-    arrival_tick: int = 0
-    core_id: int = -1
-    is_prefetch: bool = False
-    on_complete: Optional[Callable[[int], None]] = None
-    req_id: int = field(default_factory=lambda: next(_request_ids))
+    __slots__ = (
+        "addr", "op", "coord", "arrival_tick", "core_id", "is_prefetch",
+        "on_complete", "req_id",
+        # Filled in by the channel front-end: DRAM cycle the request
+        # became visible to the scheduler (commands may be planned from
+        # this point).
+        "arrival_cycle",
+        # Filled in by the scheduler when the request is issued.
+        "issue_tick", "burst_tick",
+        # Hot-loop copies of op/coord fields.
+        "is_write", "bankgroup", "sc_bank", "row",
+    )
 
-    # Filled in by the channel front-end: DRAM cycle the request became
-    # visible to the scheduler (commands may be planned from this point).
-    arrival_cycle: int = 0
-    # Filled in by the scheduler when the request is issued.
-    issue_tick: Optional[int] = None
-    burst_tick: Optional[int] = None
-
-    # Derived once in __post_init__ - hot-loop copies of op/coord fields.
-    is_write: bool = field(init=False)
-    bankgroup: int = field(init=False)
-    sc_bank: int = field(init=False)
-    row: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        coord = self.coord
-        self.is_write = self.op is Op.WRITE
-        self.bankgroup = coord.bankgroup
-        self.sc_bank = coord.bankgroup * 4 + coord.bank
+    def __init__(self, addr: int, op: Op, coord: DramCoord,
+                 arrival_tick: int = 0, core_id: int = -1,
+                 is_prefetch: bool = False,
+                 on_complete: Optional[Callable[[int], None]] = None
+                 ) -> None:
+        self.addr = addr
+        self.op = op
+        self.coord = coord
+        self.arrival_tick = arrival_tick
+        self.core_id = core_id
+        self.is_prefetch = is_prefetch
+        self.on_complete = on_complete
+        self.req_id = next(_request_ids)
+        self.arrival_cycle = 0
+        self.issue_tick: Optional[int] = None
+        self.burst_tick: Optional[int] = None
+        self.is_write = op is _WRITE
+        self.bankgroup = bankgroup = coord.bankgroup
+        self.sc_bank = bankgroup * 4 + coord.bank
         self.row = coord.row
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

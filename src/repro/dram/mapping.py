@@ -37,6 +37,12 @@ _BA_BITS = 2
 _CO1_BITS = 6
 
 
+#: ``tuple.__new__``: builds a :class:`DramCoord` exactly as its
+#: generated ``__new__`` does, without that extra Python frame (``map``
+#: runs once per memory request).
+_tuple_new = tuple.__new__
+
+
 def _bits(value: int, lo: int, width: int) -> int:
     """Extract ``width`` bits of ``value`` starting at bit ``lo``."""
     return (value >> lo) & ((1 << width) - 1)
@@ -119,7 +125,8 @@ class ZenMapping:
         if self.pbpl:
             ba ^= row & self._ba_mask
             bg ^= (row >> _BA_BITS) & self._bg_mask
-        return DramCoord(channel, sc, bg, ba, row, (co1 << _CO0_BITS) | co0)
+        return _tuple_new(DramCoord, (channel, sc, bg, ba, row,
+                                      (co1 << _CO0_BITS) | co0))
 
     def compose(self, coord: DramCoord) -> int:
         """Inverse of :meth:`map`: rebuild the physical byte address.

@@ -41,9 +41,10 @@ class ReadQueue:
 
     def push(self, req: MemRequest) -> bool:
         """Enqueue ``req``; returns False (rejected) when full."""
-        if self.full:
+        entries = self.entries
+        if len(entries) >= self.capacity:
             return False
-        self.entries.append(req)
+        entries.append(req)
         return True
 
     def remove(self, req: MemRequest) -> None:
@@ -65,7 +66,8 @@ class WriteQueue:
     high_watermark: int
     low_watermark: int
     entries: List[MemRequest] = field(default_factory=list)
-    _by_addr: Dict[int, MemRequest] = field(default_factory=dict)
+    #: Line address -> its queued write (coalescing and forwarding).
+    by_addr: Dict[int, MemRequest] = field(default_factory=dict)
     coalesced: int = 0
 
     def __post_init__(self) -> None:
@@ -99,23 +101,20 @@ class WriteQueue:
         Returns False when the queue is full and the write does not coalesce.
         """
         line_addr = req.addr
-        existing = self._by_addr.get(line_addr)
-        if existing is not None:
+        by_addr = self.by_addr
+        if line_addr in by_addr:
             self.coalesced += 1
             return True
-        if self.full:
+        entries = self.entries
+        if len(entries) >= self.capacity:
             return False
-        self.entries.append(req)
-        self._by_addr[line_addr] = req
+        entries.append(req)
+        by_addr[line_addr] = req
         return True
 
     def remove(self, req: MemRequest) -> None:
         self.entries.remove(req)
-        del self._by_addr[req.addr]
-
-    def contains_addr(self, addr: int) -> bool:
-        """True if a write to this line address is buffered (forwarding)."""
-        return addr in self._by_addr
+        del self.by_addr[req.addr]
 
     def pending_for_bank(self, bank_id: int) -> int:
         """Number of queued writes mapping to the given sub-channel bank.

@@ -37,6 +37,12 @@ BANKS_PER_SUBCHANNEL = BANKGROUPS * BANKS_PER_GROUP
 
 _FAR_PAST = -(10**9)
 
+# Enum members bound once: a class-attribute lookup on an Enum costs
+# several times a global's, and the scheduler tests these per request.
+_WRITE = Op.WRITE
+_ROW_HIT = AccessKind.ROW_HIT
+_ROW_CONFLICT = AccessKind.ROW_CONFLICT
+
 #: Scheduling lookahead (DRAM cycles): the scheduler keeps committing
 #: requests while the bus is reserved less than this far into the future.
 #: This models command-bus pipelining - a bank's PRE/ACT preparation
@@ -111,20 +117,10 @@ class SubChannel:
         self._drain_all = False
 
     # ------------------------------------------------------------------
-    # Queue interface (called by the channel)
+    # Arrivals (the channel pushes requests onto ``rq``/``wq`` itself;
+    # reads that hit a buffered write are forwarded there and never
+    # reach the read queue)
     # ------------------------------------------------------------------
-
-    def enqueue_read(self, req: MemRequest) -> bool:
-        """Add a read; returns False when the read queue is full.
-
-        Reads that hit a buffered write are forwarded by the caller
-        (:class:`repro.dram.channel.Channel`) and never reach this queue.
-        """
-        return self.rq.push(req)
-
-    def enqueue_write(self, req: MemRequest) -> bool:
-        """Add a write; returns False when the write queue is full."""
-        return self.wq.push(req)
 
     @property
     def idle(self) -> bool:
@@ -139,7 +135,8 @@ class SubChannel:
         the first cycle :meth:`tick` could issue at, or None when it has
         nothing to issue (no drain in progress and no queued read).
         """
-        self._maybe_refresh(now)
+        if self.refresh_enabled:
+            self._maybe_refresh(now)
         self._update_drain_mode(now)
         if not self._in_drain and not self.rq.entries:
             return None
@@ -191,19 +188,6 @@ class SubChannel:
                 burst = c
         return burst
 
-    def _pick_read(self, now: int) -> Optional[MemRequest]:
-        """FR-FCFS: oldest row-hit first, else oldest request."""
-        entries = self.rq.entries
-        if not entries:
-            return None
-        banks = self.banks
-        for req in entries:
-            # Open-row equality is exactly the ROW_HIT classification
-            # (a precharged bank's open_row is None, never a row number).
-            if banks[req.sc_bank].open_row == req.row:
-                return req
-        return entries[0]
-
     def _pick_write(self, now: int) -> Optional[MemRequest]:
         """Select the next write to drain.
 
@@ -222,7 +206,7 @@ class SubChannel:
         floor = self._last_wr_burst + self._tccd_s_wr
         if bus_free > floor:
             floor = bus_free
-        if self.bus_mode is not Op.WRITE:
+        if self.bus_mode is not _WRITE:
             c = bus_free + self._turnaround
             if c > floor:
                 floor = c
@@ -238,12 +222,15 @@ class SubChannel:
         return best
 
     def _update_drain_mode(self, now: int) -> None:
+        # The write queue's watermark predicates, as compares on locals.
+        wq = self.wq
+        queued = len(wq.entries)
         if self._in_drain:
-            if self.wq.at_or_below_low_watermark and not (
-                self._drain_all and self.wq.entries
+            if queued <= wq.low_watermark and not (
+                self._drain_all and queued
             ):
                 self._end_episode()
-        elif self.wq.at_high_watermark or (self._drain_all and self.wq.entries):
+        elif queued >= wq.high_watermark or (self._drain_all and queued):
             self._in_drain = True
             self._episode_start = now
             self._episode_writes = 0
@@ -271,25 +258,41 @@ class SubChannel:
         back within the horizon, or None when nothing is left to issue;
         the channel kicks the sub-channel again when a new arrival makes
         something issuable (see :meth:`on_arrival`).
+
+        Reads go FR-FCFS: the oldest row hit first, else the oldest
+        read.  Open-row equality is exactly the ROW_HIT classification
+        (a precharged bank's open_row is None, never a row number).
+        The drain mode is re-evaluated after each issued write; issuing
+        a read leaves the write queue, and so the mode, as it was.
         """
-        self._maybe_refresh(now)
+        if self.refresh_enabled:
+            self._maybe_refresh(now)
         rq_entries = self.rq.entries
         wq_entries = self.wq.entries
+        banks = self.banks
         horizon = now + _PIPELINE_HORIZON
+        self._update_drain_mode(now)
         while True:
-            self._update_drain_mode(now)
             if not rq_entries and not wq_entries:
                 return None
             if self.bus_free_cycle > horizon:
                 return self.bus_free_cycle - _PIPELINE_HORIZON
             if self._in_drain:
                 req = self._pick_write(now)
-            else:
-                req = self._pick_read(now)
-            if req is None:
+                if req is None:
+                    return None
+                self._issue(req, self.earliest_burst(req, now))
+                self._update_drain_mode(now)
+                continue
+            if not rq_entries:
                 # Reads drained; nothing to do until the write watermark
                 # trips or a new read arrives.
                 return None
+            for req in rq_entries:
+                if banks[req.sc_bank].open_row == req.row:
+                    break
+            else:
+                req = rq_entries[0]
             # Commit the best candidate: its bank preparation (PRE/ACT)
             # starts now and overlaps earlier requests' bursts; the data
             # burst itself is serialised on the bus.
@@ -298,9 +301,10 @@ class SubChannel:
     def _issue(self, req: MemRequest, burst: int) -> None:
         stats = self.stats
         is_write = req.is_write
-        if req.op is not self.bus_mode:
+        op = req.op
+        if op is not self.bus_mode:
             stats.turnaround_cycles += self._turnaround
-            self.bus_mode = req.op
+            self.bus_mode = op
         burst_end = burst + self._burst_cycles
         self.bus_free_cycle = burst_end
         stats.busy_cycles += self._burst_cycles
@@ -309,13 +313,19 @@ class SubChannel:
         if is_write and self.ideal_writes:
             self._last_wr_burst = burst
         else:
-            bank = self.banks[req.sc_bank]
-            kind = bank.commit(req.row, req.op, burst)
-            self._record_kind(req.op, kind)
+            kind = self.banks[req.sc_bank].commit(req.row, op, burst)
             if is_write:
+                if kind is _ROW_HIT:
+                    stats.write_row_hits += 1
+                elif kind is _ROW_CONFLICT:
+                    stats.write_row_conflicts += 1
                 self._last_wr_burst_bg[req.bankgroup] = burst
                 self._last_wr_burst = burst
             else:
+                if kind is _ROW_HIT:
+                    stats.read_row_hits += 1
+                elif kind is _ROW_CONFLICT:
+                    stats.read_row_conflicts += 1
                 self._last_rd_burst_bg[req.bankgroup] = burst
                 self._last_rd_burst = burst
 
@@ -332,18 +342,6 @@ class SubChannel:
             stats.reads_issued += 1
         if req.on_complete is not None:
             req.on_complete(burst_end)
-
-    def _record_kind(self, op: Op, kind: AccessKind) -> None:
-        if kind is AccessKind.ROW_HIT:
-            if op is Op.WRITE:
-                self.stats.write_row_hits += 1
-            else:
-                self.stats.read_row_hits += 1
-        elif kind is AccessKind.ROW_CONFLICT:
-            if op is Op.WRITE:
-                self.stats.write_row_conflicts += 1
-            else:
-                self.stats.read_row_conflicts += 1
 
     def _maybe_refresh(self, now: int) -> None:
         """All-bank refresh: stall the sub-channel for tRFC every tREFI.

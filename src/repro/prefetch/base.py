@@ -38,9 +38,11 @@ class Prefetcher(abc.ABC):
 
     def on_access(self, addr: int, pc: int, hit: bool) -> List[int]:
         """Hook invoked by the cache; wraps :meth:`predict` with stats."""
-        self.stats.observed += 1
+        stats = self.stats
+        stats.observed += 1
         targets = self.predict(addr, pc, hit)
-        self.stats.issued += len(targets)
+        if targets:
+            stats.issued += len(targets)
         return targets
 
 

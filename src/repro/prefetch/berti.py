@@ -37,7 +37,7 @@ class BertiPrefetcher(Prefetcher):
         entry = table.get(pc)
         if entry is None:
             if len(table) >= _TABLE_SIZE:
-                table.pop(next(iter(table)))
+                del table[next(iter(table))]
             table[pc] = (addr, 0, 0)
             return []
         last_addr, delta, conf = entry

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.dram.commands import LINE_SIZE
 from repro.prefetch.base import Prefetcher
 
 _PAGE_BITS = 12
@@ -22,10 +21,6 @@ _LOOKAHEAD = 2
 _MIN_CONF = 2
 #: Cache blocks per page.
 _BLOCKS = 1 << (_PAGE_BITS - 6)
-
-
-def _update_signature(sig: int, delta: int) -> int:
-    return ((sig << 3) ^ (delta & 0x3F)) & _SIG_MASK
 
 
 class SPPPrefetcher(Prefetcher):
@@ -41,54 +36,52 @@ class SPPPrefetcher(Prefetcher):
         # signature -> {delta: confidence}
         self._patterns: Dict[int, Dict[int, int]] = {}
 
-    def _best_delta(self, sig: int) -> Tuple[int, int]:
-        deltas = self._patterns.get(sig)
-        if not deltas:
-            return 0, 0
-        delta = max(deltas, key=deltas.__getitem__)
-        return delta, deltas[delta]
-
     def predict(self, addr: int, pc: int, hit: bool) -> List[int]:
         page = addr >> _PAGE_BITS
         block = (addr >> 6) & (_BLOCKS - 1)
-        state = self._pages.get(page)
+        pages = self._pages
+        state = pages.get(page)
+        if state is None:
+            if len(pages) >= _TABLE_SIZE:
+                del pages[next(iter(pages))]
+            pages[page] = (0, block)
+            return []
         targets: List[int] = []
-        if state is not None:
-            sig, last_block = state
-            delta = block - last_block
-            if delta != 0:
-                bucket = self._patterns.setdefault(sig, {})
-                bucket[delta] = min(bucket.get(delta, 0) + 1, 7)
-                if len(self._patterns) > _TABLE_SIZE:
-                    self._patterns.pop(next(iter(self._patterns)))
-                sig = _update_signature(sig, delta)
-                # Chain lookahead predictions from the updated signature.
-                cur_block = block
-                cur_sig = sig
-                for _ in range(_LOOKAHEAD):
-                    pred, conf = self._best_delta(cur_sig)
-                    if conf < _MIN_CONF or pred == 0:
-                        break
-                    cur_block += pred
-                    if not 0 <= cur_block < _BLOCKS:
-                        break
-                    targets.append(
-                        (page << _PAGE_BITS) | (cur_block << 6)
-                    )
-                    cur_sig = _update_signature(cur_sig, pred)
-            self._pages[page] = (sig, block)
-        else:
-            if len(self._pages) >= _TABLE_SIZE:
-                self._pages.pop(next(iter(self._pages)))
-            self._pages[page] = (0, block)
-        if not targets:
-            return targets
-        # Deduplicate same-line targets.
-        seen = set()
-        unique: List[int] = []
-        for t in targets[: self.degree]:
-            line = t // LINE_SIZE
-            if line not in seen:
-                seen.add(line)
-                unique.append(t)
-        return unique
+        sig, last_block = state
+        delta = block - last_block
+        if delta != 0:
+            patterns = self._patterns
+            bucket = patterns.get(sig)
+            if bucket is None:
+                bucket = patterns[sig] = {}
+            conf = bucket.get(delta, 0) + 1
+            bucket[delta] = conf if conf < 7 else 7
+            if len(patterns) > _TABLE_SIZE:
+                del patterns[next(iter(patterns))]
+            # The signature update: 3-bit shift, low 6 delta bits.
+            sig = ((sig << 3) ^ (delta & 0x3F)) & _SIG_MASK
+            # Chain lookahead predictions from the updated signature:
+            # each step follows the pattern's most confident delta (the
+            # first one on a tie).  No more than ``degree`` are kept, one
+            # per line (targets are line-aligned).
+            steps = self.degree
+            if steps > _LOOKAHEAD:
+                steps = _LOOKAHEAD
+            cur_block = block
+            cur_sig = sig
+            for _ in range(steps):
+                deltas = patterns.get(cur_sig)
+                if not deltas:
+                    break
+                pred = max(deltas, key=deltas.__getitem__)
+                if deltas[pred] < _MIN_CONF or pred == 0:
+                    break
+                cur_block += pred
+                if not 0 <= cur_block < _BLOCKS:
+                    break
+                target = (page << _PAGE_BITS) | (cur_block << 6)
+                if target not in targets:
+                    targets.append(target)
+                cur_sig = ((cur_sig << 3) ^ (pred & 0x3F)) & _SIG_MASK
+        pages[page] = (sig, block)
+        return targets

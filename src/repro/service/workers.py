@@ -44,7 +44,9 @@ monkeypatched simulators and deterministic scheduling work.
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.managers
 import multiprocessing.pool
+import os
 import threading
 import time
 from dataclasses import asdict, dataclass
@@ -109,6 +111,28 @@ class WorkerStats:
     #: Leased jobs completed from the store without re-simulating
     #: (crash-resume exactly-once: the dying worker's result landed).
     store_skips: int = 0
+
+
+#: Seconds between a heartbeat Manager's checks that its parent lives.
+MANAGER_PARENT_POLL_S = 0.5
+
+
+def _exit_with_parent(parent_pid: int) -> None:
+    """Manager-process initializer: exit once the parent process is gone.
+
+    ``WorkerPool.stop`` shuts the heartbeat Manager down, but a parent
+    killed outright (``kill -9``) never gets there, and the Manager's
+    server process would live on, reparented.  A daemon thread polls
+    ``os.getppid()`` and ends the process when it changes.
+    """
+
+    def watch() -> None:
+        while os.getppid() == parent_pid:
+            time.sleep(MANAGER_PARENT_POLL_S)
+        os._exit(0)
+
+    threading.Thread(target=watch, name="repro-manager-parent-watch",
+                     daemon=True).start()
 
 
 class WorkerPool:
@@ -182,7 +206,8 @@ class WorkerPool:
                    else "inline"})
         if self.use_processes:
             if self.job_timeout is not None:
-                self._manager = multiprocessing.Manager()
+                self._manager = multiprocessing.managers.SyncManager()
+                self._manager.start(_exit_with_parent, (os.getpid(),))
                 self._heartbeats = self._manager.dict()
             self._pool = multiprocessing.Pool(processes=self.shards)
             threads = 1  # one dispatcher feeding the process pool

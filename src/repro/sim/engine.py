@@ -33,6 +33,9 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
+#: Bound once: ``schedule`` runs once per event.
+_heappush = heapq.heappush
+
 #: One scheduled event: (tick, sequence, callable, positional args).
 Event = Tuple[int, int, Callable[..., None], tuple]
 
@@ -58,7 +61,7 @@ class Engine:
             tick = self.now
         seq = self._seq
         self._seq = seq + 1
-        heapq.heappush(self._heap, (tick, seq, fn, args))
+        _heappush(self._heap, (tick, seq, fn, args))
 
     def schedule_in(self, delay: int, fn: Callable[..., None],
                     *args) -> None:

@@ -15,6 +15,11 @@ from repro.dram.channel import Channel
 from repro.dram.commands import MemRequest, Op
 from repro.dram.mapping import ZenMapping
 
+# Enum members bound once: a class-attribute lookup on an Enum costs
+# several times a global's, and one of these runs per memory request.
+_READ = Op.READ
+_WRITE = Op.WRITE
+
 
 @dataclass
 class MemCtrlStats:
@@ -39,28 +44,14 @@ class MemoryController:
              is_prefetch: bool, pc: int = 0) -> None:
         coord = self.mapping.map(line_addr)
         self.stats.reads += 1
-        req = MemRequest(
-            addr=line_addr,
-            op=Op.READ,
-            coord=coord,
-            arrival_tick=now,
-            core_id=core_id,
-            is_prefetch=is_prefetch,
-            on_complete=on_done,
-        )
-        self.channels[coord.channel].submit(req)
+        self.channels[coord.channel].submit(MemRequest(
+            line_addr, _READ, coord, now, core_id, is_prefetch, on_done))
 
     def writeback(self, line_addr: int, now: int) -> None:
         coord = self.mapping.map(line_addr)
         self.stats.writes += 1
-        req = MemRequest(
-            addr=line_addr,
-            op=Op.WRITE,
-            coord=coord,
-            arrival_tick=now,
-            on_complete=None,
-        )
-        self.channels[coord.channel].submit(req)
+        self.channels[coord.channel].submit(
+            MemRequest(line_addr, _WRITE, coord, now))
 
     def pending_writes_for_line(self, line_addr: int) -> int:
         """Ground truth for the BLP-Tracker accuracy probe."""

@@ -26,6 +26,14 @@ Program counters cycle 4 bytes at a time over a code footprint of
 ``max(64, code_bytes)`` bytes above the generator's code base; each
 generator keeps its position as a local ``pc_off`` (one record, one
 step).
+
+The random generators draw bounded integers with CPython's own
+``randrange(n)`` rejection loop (``Random._randbelow_with_getrandbits``:
+``k = n.bit_length()``, redraw ``getrandbits(k)`` until it is below
+``n``), written out with ``k`` hoisted out of the record loop.  That
+consumes the Mersenne Twister exactly as ``rng.randrange(n)`` does, so
+the streams are the ones ``randrange`` gives, at a fraction of the calls
+(``tests/test_workloads.py::TestTraceStreamsPinned`` pins them).
 """
 
 from __future__ import annotations
@@ -42,10 +50,6 @@ _ELEM = 8
 #: Virtual code-region base; data regions start above it.
 _CODE_BASE = 0x10000
 _DATA_BASE = 0x1000000
-
-
-def _align(addr: int) -> int:
-    return addr & ~7
 
 
 def stream_trace(
@@ -105,8 +109,12 @@ def graph_trace(
     "every access misses" levels.
     """
     rng = random.Random(seed)
+    rand = rng.random
+    getrandbits = rng.getrandbits
     vertices = max(1024, vertex_bytes // _ELEM)
     hot_vertices = max(64, int(vertices * hot_fraction))
+    vertices_k = vertices.bit_length()
+    hot_k = hot_vertices.bit_length()
     vertex_base = base + _DATA_BASE
     edge_base = vertex_base + vertex_bytes + 4096
     edge_stream_bytes = 4 * vertex_bytes
@@ -120,17 +128,22 @@ def graph_trace(
         pc_off = (pc_off + 4) % pc_limit
         edge_pos = (edge_pos + _ELEM * edges_per_vertex) % edge_stream_bytes
         for _ in range(edges_per_vertex):
-            if rng.random() < hot_prob:
-                target = rng.randrange(hot_vertices)
+            # rng.randrange(hot_vertices) / rng.randrange(vertices).
+            if rand() < hot_prob:
+                target = getrandbits(hot_k)
+                while target >= hot_vertices:
+                    target = getrandbits(hot_k)
             else:
-                target = rng.randrange(vertices)
+                target = getrandbits(vertices_k)
+                while target >= vertices:
+                    target = getrandbits(vertices_k)
             addr = vertex_base + target * _ELEM
             yield (LOAD, addr, pc_base + pc_off)
             pc_off = (pc_off + 4) % pc_limit
             for _ in range(nonmem_per_edge):
                 yield (NONMEM, 0, pc_base + pc_off)
                 pc_off = (pc_off + 4) % pc_limit
-            if rng.random() < store_prob:
+            if rand() < store_prob:
                 yield (STORE, addr, pc_base + pc_off)
                 pc_off = (pc_off + 4) % pc_limit
 
@@ -148,6 +161,10 @@ def blend_trace(
 ) -> Iterator[TraceRecord]:
     """SPEC-like blend of streaming and random working-set traffic."""
     rng = random.Random(seed)
+    rand = rng.random
+    getrandbits = rng.getrandbits
+    hot_k = hot_bytes.bit_length()
+    ws_k = ws_bytes.bit_length()
     data_base = base + _DATA_BASE
     pc_base = base + _CODE_BASE
     pc_limit = max(64, code_bytes)
@@ -157,14 +174,22 @@ def blend_trace(
         for _ in range(nonmem_per_mem):
             yield (NONMEM, 0, pc_base + pc_off)
             pc_off = (pc_off + 4) % pc_limit
-        if rng.random() < stream_fraction:
+        if rand() < stream_fraction:
             addr = data_base + stream_pos
             stream_pos = (stream_pos + _ELEM) % ws_bytes
-        elif rng.random() < hot_fraction:
-            addr = data_base + _align(rng.randrange(hot_bytes))
+        elif rand() < hot_fraction:
+            # rng.randrange(hot_bytes), 8-byte aligned.
+            offset = getrandbits(hot_k)
+            while offset >= hot_bytes:
+                offset = getrandbits(hot_k)
+            addr = data_base + (offset & ~7)
         else:
-            addr = data_base + _align(rng.randrange(ws_bytes))
-        kind = STORE if rng.random() < store_fraction else LOAD
+            # rng.randrange(ws_bytes), 8-byte aligned.
+            offset = getrandbits(ws_k)
+            while offset >= ws_bytes:
+                offset = getrandbits(ws_k)
+            addr = data_base + (offset & ~7)
+        kind = STORE if rand() < store_fraction else LOAD
         yield (kind, addr, pc_base + pc_off)
         pc_off = (pc_off + 4) % pc_limit
 
@@ -193,6 +218,11 @@ def server_trace(
     # Hot ranks are scattered over the heap, not clustered.
     placement = list(range(objects))
     rng.shuffle(placement)
+    rand = rng.random
+    getrandbits = rng.getrandbits
+    bisect_left = bisect.bisect_left
+    objects_k = objects.bit_length()
+    object_k = object_bytes.bit_length()
     heap_base = base + _DATA_BASE
     pc_base = base + _CODE_BASE
     pc_limit = max(64, code_bytes)
@@ -201,21 +231,28 @@ def server_trace(
         for _ in range(nonmem_per_mem):
             yield (NONMEM, 0, pc_base + pc_off)
             pc_off = (pc_off + 4) % pc_limit
-        rank = bisect.bisect_left(cdf, rng.random())
+        rank = bisect_left(cdf, rand())
         if rank >= ranks:
             rank = ranks - 1
-        if ranks < objects and rng.random() < 0.15:
-            obj = rng.randrange(objects)  # cold-tail access
+        if ranks < objects and rand() < 0.15:
+            # Cold-tail access: rng.randrange(objects).
+            obj = getrandbits(objects_k)
+            while obj >= objects:
+                obj = getrandbits(objects_k)
         else:
             obj = placement[rank]
-        offset = _align(rng.randrange(object_bytes))
-        addr = heap_base + obj * object_bytes + offset
-        kind = STORE if rng.random() < store_fraction else LOAD
-        yield (kind, addr, pc_base + pc_off)
+        # rng.randrange(object_bytes), 8-byte aligned.
+        offset = getrandbits(object_k)
+        while offset >= object_bytes:
+            offset = getrandbits(object_k)
+        obj_base = heap_base + obj * object_bytes
+        kind = STORE if rand() < store_fraction else LOAD
+        yield (kind, obj_base + (offset & ~7), pc_base + pc_off)
         pc_off = (pc_off + 4) % pc_limit
         # Touch a second field of the same object half the time.
-        if rng.random() < 0.5:
-            offset2 = _align(rng.randrange(object_bytes))
-            yield (LOAD, heap_base + obj * object_bytes + offset2,
-                   pc_base + pc_off)
+        if rand() < 0.5:
+            offset = getrandbits(object_k)
+            while offset >= object_bytes:
+                offset = getrandbits(object_k)
+            yield (LOAD, obj_base + (offset & ~7), pc_base + pc_off)
             pc_off = (pc_off + 4) % pc_limit

@@ -61,6 +61,92 @@ def _inline_config(tmp_path, **overrides) -> ServiceConfig:
     return ServiceConfig(**defaults)
 
 
+def _children(pid):
+    """PIDs whose parent is ``pid`` (read from /proc)."""
+    out = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue
+        # Fields after the parenthesised command: state, ppid, ...
+        if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+            out.append(int(entry.name))
+    return out
+
+
+def _exited(pid):
+    """True once ``pid`` is gone or a zombie nobody has reaped yet."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] in ("Z", "X")
+
+
+def _kill_group(proc):
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    proc.wait(timeout=10)
+
+
+def _wait_exited(pids, seconds):
+    deadline = time.time() + seconds
+    while time.time() < deadline:
+        if all(_exited(pid) for pid in pids):
+            return True
+        time.sleep(0.05)
+    return False
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="needs /proc")
+class TestServeLeavesNoProcesses:
+    """``repro serve`` with a job timeout runs a heartbeat Manager and a
+    worker pool; neither may outlive the server, however it ends."""
+
+    def _start(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"),
+                   REPRO_CACHE_DIR=str(tmp_path / "cache"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--workers", "1", "--job-timeout", "60",
+             "--state-dir", str(tmp_path / "state"),
+             "--cache-dir", str(tmp_path / "store")],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            text=True, env=env, cwd=str(REPO_ROOT),
+            start_new_session=True)
+        assert "listening" in proc.stdout.readline()
+        children = _children(proc.pid)
+        # The heartbeat Manager's server process and one pool worker.
+        assert len(children) >= 2, children
+        return proc, children
+
+    def test_sigterm_stops_the_service_and_its_children(self, tmp_path):
+        proc, children = self._start(tmp_path)
+        try:
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+            assert _wait_exited(children, 10), [
+                pid for pid in children if not _exited(pid)]
+        finally:
+            _kill_group(proc)
+
+    def test_sigkill_orphans_nothing(self, tmp_path):
+        proc, children = self._start(tmp_path)
+        try:
+            proc.kill()
+            proc.wait(timeout=10)
+            assert _wait_exited(children, 10), [
+                pid for pid in children if not _exited(pid)]
+        finally:
+            _kill_group(proc)
+
+
 class TestCrashResume:
     def test_sigkill_mid_grid_terminal_exactly_once(self, tmp_path):
         state = tmp_path / "state"

@@ -121,6 +121,36 @@ def test_tolerance_widens_the_bound_strictly():
     assert score(near, 10 / 3 - 0.06, "quick")["direction_match"] is False
 
 
+def test_sign_match_takes_the_tolerance_away():
+    claim = BY_ID["fig15.bard_gain_ship"]  # > 0, tolerance 2
+    inside = score(claim, -1.0, "quick")
+    assert inside["direction_match"] is True
+    assert inside["sign_match"] is False
+    assert score(claim, 0.5, "quick")["sign_match"] is True
+    untolerant = score(BY_ID["fig10_top.bard_h_gain"], 0.2, "quick")
+    assert untolerant["sign_match"] is untolerant["direction_match"] is True
+    # A "~" claim's tolerance is the claim: no sign to match.
+    assert score(BY_ID["table10.mpki_change"], 0.1, "quick")[
+        "sign_match"] is None
+
+
+#: Rows of the committed quick scorecard whose direction holds only
+#: through the tolerance: the measured sign is the paper's opposite.
+#: docs/experiments.md lists them as known deviations.
+HELD_BY_TOLERANCE = ["fig15.bard_gain_ship", "fig17.bard_tracks_baseline",
+                     "table07.gain_16core", "table09.bard_edp_vs_vwq"]
+
+
+def test_committed_scorecard_names_the_rows_held_by_tolerance():
+    body = json.loads((_PATH.parent / "scorecard.json").read_text())
+    for record in body["claims"]:
+        again = score(BY_ID[record["claim"]], record["measured"], "quick")
+        assert record["sign_match"] is again["sign_match"], record["claim"]
+    assert [r["claim"] for r in body["claims"]
+            if r["direction_match"] and r["sign_match"] is False] \
+        == HELD_BY_TOLERANCE
+
+
 def test_zero_or_missing_paper_value_has_no_ratio():
     zero = score(BY_ID["table10.mpki_change"], 1.5, "quick")
     assert zero["paper"] == 0.0 and zero["magnitude_ratio"] is None

@@ -30,7 +30,7 @@ class TestRefreshModel:
             addr = i * 128  # subchannel 0
             r = MemRequest(addr=addr, op=Op.READ, coord=_M.map(addr))
             reqs.append(r)
-            sc.enqueue_read(r)
+            sc.rq.push(r)
         now = 20_000  # past the first tREFI
         for _ in range(10_000):
             nxt = sc.tick(now)
@@ -75,7 +75,7 @@ class TestDrainPolicyAblation:
             addr = (row << 19)  # same bank, conflicting rows
             r = MemRequest(addr=addr, op=Op.WRITE, coord=_M.map(addr))
             reqs.append(r)
-            sc.enqueue_write(r)
+            sc.wq.push(r)
         now = 0
         for _ in range(1000):
             nxt = sc.tick(now)

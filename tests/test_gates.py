@@ -104,3 +104,20 @@ def test_json_records_each_verdict(monkeypatch, tmp_path):
               for gate, body in report["gates"].items()
               for check in body["checks"] if not check["ok"]]
     assert failed == [("sampling", "speedup")]
+
+
+def test_telemetry_pairs_alternate_which_leg_runs_first(monkeypatch):
+    """A host-speed drift inside a pair must not bias every pair one way:
+    after the untimed priming run, the timed pairs go off/on, on/off,
+    off/on, on/off, off/on."""
+    legs = []
+
+    def timed(run):
+        legs.append("on" if gates.tele.enabled() else "off")
+        return 1.0, type("Result", (), {"phase_breakdown": {"measure": 1}})
+
+    monkeypatch.setattr(gates, "_cpu", timed)
+    was_enabled = gates.tele.enabled()
+    gates.telemetry(quick=True)
+    assert gates.tele.enabled() == was_enabled
+    assert legs == ["off"] + ["off", "on", "on", "off"] * 2 + ["off", "on"]

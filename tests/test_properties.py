@@ -122,7 +122,7 @@ class TestSubChannelInvariants:
             if coord.subchannel != 0:
                 continue
             r = MemRequest(addr=addr, op=Op.WRITE, coord=coord)
-            if sc.enqueue_write(r):
+            if sc.wq.push(r):
                 reqs.append(r)
         now = 0
         for _ in range(10_000):
@@ -145,7 +145,7 @@ class TestSubChannelInvariants:
             coord = MAPPING.map(addr)
             if coord.subchannel != 0:
                 continue
-            sc.enqueue_write(MemRequest(addr=addr, op=Op.WRITE,
+            sc.wq.push(MemRequest(addr=addr, op=Op.WRITE,
                                         coord=coord))
         now = 0
         for _ in range(10_000):

@@ -32,12 +32,12 @@ class TestWriteQueueInvariants:
                 if match is not None:
                     q.remove(match)
             # Invariants after every operation:
-            assert len(q.entries) == len(q._by_addr)
+            assert len(q.entries) == len(q.by_addr)
             assert len(q.entries) <= q.capacity
             addrs = [r.addr for r in q.entries]
             assert len(addrs) == len(set(addrs)), "duplicate addresses"
             for r in q.entries:
-                assert q.contains_addr(r.addr)
+                assert r.addr in q.by_addr
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(0, 60), min_size=1, max_size=100))

@@ -90,7 +90,7 @@ class TestWriteQueueCoalescing:
         r = _req(64)
         q.push(r)
         q.remove(r)
-        assert not q.contains_addr(64)
+        assert 64 not in q.by_addr
         assert q.push(_req(64))
         assert len(q) == 1
 
@@ -99,8 +99,8 @@ class TestWriteQueueLookups:
     def test_contains_addr(self):
         q = WriteQueue(8, 6, 2)
         q.push(_req(0x1000 & ~63))
-        assert q.contains_addr(0x1000 & ~63)
-        assert not q.contains_addr(0x2000)
+        assert (0x1000 & ~63) in q.by_addr
+        assert 0x2000 not in q.by_addr
 
     def test_pending_for_bank(self):
         q = WriteQueue(48, 40, 8)

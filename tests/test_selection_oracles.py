@@ -93,7 +93,7 @@ def _queue_writes(rng: random.Random, sc: SubChannel, now: int,
                           rng.randrange(3), rng.randrange(64))
         req = MemRequest(addr=_M.compose(coord), op=Op.WRITE, coord=coord)
         req.arrival_cycle = max(0, now - rng.randrange(0, 50))
-        sc.enqueue_write(req)
+        sc.wq.push(req)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -141,7 +141,7 @@ def test_drain_sequence_matches_oracle(seed):
             read = MemRequest(addr=_M.compose(coord), op=Op.READ,
                               coord=coord)
             read.arrival_cycle = now
-            sc.enqueue_read(read)
+            sc.rq.push(read)
         nxt = sc.tick(now)
         while nxt is not None:
             now = nxt

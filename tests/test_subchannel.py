@@ -50,8 +50,8 @@ class TestWriteSpacing:
     def _drain_two(self, addr_a, addr_b):
         sc = make_sc(wq_capacity=4, wq_high=2, wq_low=0)
         ra, rb = _wreq(addr_a), _wreq(addr_b)
-        sc.enqueue_write(ra)
-        sc.enqueue_write(rb)
+        sc.wq.push(ra)
+        sc.wq.push(rb)
         drain_sc(sc)
         return ra, rb, sc
 
@@ -84,7 +84,7 @@ class TestSchedulerPrefersLowLatency:
         conflict = _wreq(_addr_for(0, 0, row=1))  # older, 188-cycle cost
         cheap = _wreq(_addr_for(1, 0, row=0))     # younger, 8-cycle cost
         for r in (first, conflict, cheap):
-            sc.enqueue_write(r)
+            sc.wq.push(r)
         drain_sc(sc)
         assert cheap.burst_tick < conflict.burst_tick
 
@@ -93,14 +93,14 @@ class TestDrainEpisodes:
     def test_waits_for_high_watermark(self):
         sc = make_sc()
         for i in range(39):
-            sc.enqueue_write(_wreq(i * 64))
+            sc.wq.push(_wreq(i * 64))
         drain_sc(sc)
         assert sc.stats.writes_issued == 0
 
     def test_drains_to_low_watermark(self):
         sc = make_sc()
         for i in range(40):
-            sc.enqueue_write(_wreq(i * 64))
+            sc.wq.push(_wreq(i * 64))
         drain_sc(sc)
         assert len(sc.wq) == 8
         assert sc.stats.writes_issued == 32
@@ -108,7 +108,7 @@ class TestDrainEpisodes:
     def test_episode_recorded(self):
         sc = make_sc()
         for i in range(40):
-            sc.enqueue_write(_wreq(i * 64))
+            sc.wq.push(_wreq(i * 64))
         drain_sc(sc)
         sc.finalize(10_000)
         assert len(sc.stats.episodes) == 1
@@ -122,7 +122,7 @@ class TestDrainEpisodes:
         addrs = [_addr_for(0, 0, col=0), _addr_for(0, 0, col=2),
                  _addr_for(1, 0, col=0), _addr_for(1, 0, col=2)]
         for a in addrs:
-            sc.enqueue_write(_wreq(a))
+            sc.wq.push(_wreq(a))
         drain_sc(sc)
         sc.finalize(100_000)
         assert sc.stats.episodes[0].unique_banks == 2
@@ -130,7 +130,7 @@ class TestDrainEpisodes:
     def test_w2w_stats_recorded(self):
         sc = make_sc()
         for i in range(40):
-            sc.enqueue_write(_wreq(i * 64))
+            sc.wq.push(_wreq(i * 64))
         drain_sc(sc)
         assert sc.stats.w2w_delay_count == 31
         assert sc.stats.mean_w2w_ns > 0
@@ -138,7 +138,7 @@ class TestDrainEpisodes:
     def test_drain_all_empties_queue(self):
         sc = make_sc()
         for i in range(20):
-            sc.enqueue_write(_wreq(i * 64))
+            sc.wq.push(_wreq(i * 64))
         sc.set_drain_all(True)
         drain_sc(sc)
         assert len(sc.wq) == 0
@@ -152,7 +152,7 @@ class TestIdealWrites:
         same_bank = [_addr_for(0, 0, row=r) for r in range(4)]
         reqs = [_wreq(a) for a in same_bank]
         for r in reqs:
-            sc.enqueue_write(r)
+            sc.wq.push(r)
         drain_sc(sc)
         bursts = sorted(r.burst_tick for r in reqs)
         deltas = [b - a for a, b in zip(bursts, bursts[1:])]
@@ -164,8 +164,8 @@ class TestReadPriority:
         sc = make_sc()
         done = []
         for i in range(4):
-            sc.enqueue_write(_wreq(i * 64))
-        sc.enqueue_read(_rreq(1 << 13, cb=lambda t: done.append(t)))
+            sc.wq.push(_wreq(i * 64))
+        sc.rq.push(_rreq(1 << 13, cb=lambda t: done.append(t)))
         drain_sc(sc)
         assert sc.stats.reads_issued == 1
         assert sc.stats.writes_issued == 0
@@ -175,14 +175,14 @@ class TestReadPriority:
         sc = make_sc()
         m = ZenMapping(pbpl=False)
         warm = _rreq(_addr_for(0, 0, row=0, col=0), m=m)
-        sc.enqueue_read(warm)
+        sc.rq.push(warm)
         drain_sc(sc)
         # Bank 0 row 0 now open; a row-hit read should overtake an older
         # conflicting read... order in queue: conflict first, hit second.
         conflict = _rreq(_addr_for(0, 0, row=5), m=m)
         hit = _rreq(_addr_for(0, 0, row=0, col=4), m=m)
-        sc.enqueue_read(conflict)
-        sc.enqueue_read(hit)
+        sc.rq.push(conflict)
+        sc.rq.push(hit)
         drain_sc(sc)
         assert hit.burst_tick < conflict.burst_tick
 
@@ -190,9 +190,9 @@ class TestReadPriority:
 class TestTurnaround:
     def test_direction_switch_accounted(self):
         sc = make_sc(wq_capacity=4, wq_high=1, wq_low=0)
-        sc.enqueue_read(_rreq(0))
+        sc.rq.push(_rreq(0))
         drain_sc(sc)
-        sc.enqueue_write(_wreq(1 << 13))
+        sc.wq.push(_wreq(1 << 13))
         drain_sc(sc)
         assert sc.stats.turnaround_cycles >= sc.timing.turnaround
 
@@ -203,7 +203,7 @@ class TestOpenPage:
 
     def test_row_stays_open_with_empty_queues(self):
         sc = make_sc()
-        sc.enqueue_read(_rreq(_addr_for(2, 1, row=7)))
+        sc.rq.push(_rreq(_addr_for(2, 1, row=7)))
         drain_sc(sc)
         bank = sc.banks[2 * 4 + 1]
         assert sc.idle
@@ -213,7 +213,7 @@ class TestOpenPage:
     def test_only_a_conflict_precharges(self):
         sc = make_sc()
         for row, col in ((7, 0), (7, 4), (9, 0)):
-            sc.enqueue_read(_rreq(_addr_for(2, 1, row=row, col=col)))
+            sc.rq.push(_rreq(_addr_for(2, 1, row=row, col=col)))
             drain_sc(sc)
         bank = sc.banks[2 * 4 + 1]
         assert sc.stats.read_row_hits == 1

@@ -32,8 +32,8 @@ class TestReadWriteInterleaving:
         sc = SubChannel(ddr5_4800_x4())
         read_done = []
         for i in range(40):
-            sc.enqueue_write(_req(i * 128, Op.WRITE))
-        sc.enqueue_read(_req(_addr(7, 3, row=9), Op.READ,
+            sc.wq.push(_req(i * 128, Op.WRITE))
+        sc.rq.push(_req(_addr(7, 3, row=9), Op.READ,
                              cb=lambda t: read_done.append(t)))
         run_sc(sc)
         assert read_done, "read must complete after the write drain"
@@ -46,23 +46,23 @@ class TestReadWriteInterleaving:
         # Isolated read latency first.
         sc0 = SubChannel(t)
         alone = []
-        sc0.enqueue_read(_req(_addr(0), Op.READ, cb=alone.append))
+        sc0.rq.push(_req(_addr(0), Op.READ, cb=alone.append))
         run_sc(sc0)
         # Read arriving exactly when a drain must start.
         sc1 = SubChannel(t)
         for i in range(40):
-            sc1.enqueue_write(_req(i * 128, Op.WRITE))
+            sc1.wq.push(_req(i * 128, Op.WRITE))
         blocked = []
-        sc1.enqueue_read(_req(_addr(0), Op.READ, cb=blocked.append))
+        sc1.rq.push(_req(_addr(0), Op.READ, cb=blocked.append))
         run_sc(sc1)
         assert blocked[0] > alone[0] + t.turnaround
 
     def test_writes_below_watermark_never_block_reads(self):
         sc = SubChannel(ddr5_4800_x4())
         for i in range(20):
-            sc.enqueue_write(_req(i * 128, Op.WRITE))
+            sc.wq.push(_req(i * 128, Op.WRITE))
         done = []
-        sc.enqueue_read(_req(_addr(5), Op.READ, cb=done.append))
+        sc.rq.push(_req(_addr(5), Op.READ, cb=done.append))
         run_sc(sc)
         assert sc.stats.writes_issued == 0
         assert done
@@ -73,12 +73,12 @@ class TestTurnaroundAccounting:
         t = ddr5_4800_x4()
         sc = SubChannel(t)
         done = []
-        sc.enqueue_read(_req(_addr(0), Op.READ, cb=done.append))
+        sc.rq.push(_req(_addr(0), Op.READ, cb=done.append))
         run_sc(sc)
         for i in range(40):
-            sc.enqueue_write(_req(i * 128, Op.WRITE))
+            sc.wq.push(_req(i * 128, Op.WRITE))
         run_sc(sc)
-        sc.enqueue_read(_req(_addr(1), Op.READ, cb=done.append))
+        sc.rq.push(_req(_addr(1), Op.READ, cb=done.append))
         run_sc(sc)
         # read -> write and write -> read: two turnarounds.
         assert sc.stats.turnaround_cycles == 2 * t.turnaround
@@ -88,11 +88,11 @@ class TestWritesArrivingMidDrain:
     def test_late_writes_join_current_episode(self):
         sc = SubChannel(ddr5_4800_x4())
         for i in range(40):
-            sc.enqueue_write(_req(i * 128, Op.WRITE))
+            sc.wq.push(_req(i * 128, Op.WRITE))
         # Tick once to enter drain, then add more writes.
         now = sc.tick(0) or 0
         for i in range(40, 44):
-            sc.enqueue_write(_req(i * 128, Op.WRITE))
+            sc.wq.push(_req(i * 128, Op.WRITE))
         run_sc(sc)
         sc.finalize(1_000_000)
         assert len(sc.stats.episodes) == 1
@@ -103,7 +103,7 @@ class TestRefreshDuringTraffic:
     def test_refresh_and_drain_coexist(self):
         sc = SubChannel(ddr5_4800_x4(), refresh=True)
         for i in range(40):
-            sc.enqueue_write(_req(i * 128, Op.WRITE))
+            sc.wq.push(_req(i * 128, Op.WRITE))
         now = sc.trefi + 10  # force at least one refresh first
         for _ in range(10_000):
             nxt = sc.tick(now)

@@ -1,5 +1,8 @@
 """Workload generators and named suites (paper Tables III/IV)."""
 
+import hashlib
+import itertools
+
 import pytest
 
 from repro.config.presets import small_8core
@@ -157,3 +160,57 @@ class TestTraceFactory:
         a = take(trace_factory("cf", cfg, seed=3)(0), 200)
         b = take(trace_factory("cf", cfg, seed=3)(0), 200)
         assert a == b
+
+
+#: SHA-256 (first 16 hex digits) of the first 20k records of cores 0 and
+#: 1 of every workload and mix at seed 7 on ``small_8core``, each record
+#: hashed as ``b"kind,addr,pc;"``.  Captured before the generators' inner
+#: loops were rewritten for speed: any change to a trace stream, however
+#: small, shows here, not only in the goldens' few runs.
+TRACE_STREAM_SHA256 = {
+    "cam4": ("f118df96c37c0059", "f3317f6f4b1c9fca"),
+    "roms": ("9fe16868e6480759", "9b8ae881091bf905"),
+    "omnetpp": ("e611a6ea7f11fc62", "21507db2e7ac1f01"),
+    "bwaves": ("3763f9ddc8b6d634", "e4fd06f918c48904"),
+    "wrf": ("b1aec6dd412bceb5", "ff9241c009ccb857"),
+    "fotonik3d": ("24bd1f2f63f963eb", "cad57b05fa43c335"),
+    "lbm": ("2a03dd2d92b1b7bf", "86ecda4bdf5ef175"),
+    "triangle": ("eb04ad25f59c337a", "9b652b42854a6dc4"),
+    "pagerankdelta": ("3e4771387497d6a0", "8c1456971e458045"),
+    "mis": ("548542bc3dc641c6", "54bcadd027b41417"),
+    "bellmanford": ("0c587a1da4b5d900", "51a0e61587b71e1c"),
+    "cf": ("92ad2ed3394cab93", "2d8af1e5e9504f9b"),
+    "bc": ("b2af15993818d957", "80269dd63d59a762"),
+    "radii": ("cbf290142b2651c3", "182344e1cac309cb"),
+    "pagerank": ("9324f7bb8f5ad159", "0561448b1787b51d"),
+    "scale": ("6f325ef1e99a88a8", "c1185a51aa097861"),
+    "copy": ("610c0165a9d3537e", "e40cdbac96819253"),
+    "triad": ("59a65f0d8a3fcce5", "11546eb9f1a0a6ee"),
+    "add": ("4bc4c25947496c6e", "d8054612573dc726"),
+    "whiskey": ("e346164d47ac6d69", "a05daec3caf2943a"),
+    "charlie": ("41343649c0f72483", "eaadf9c6e778bb17"),
+    "merced": ("9de6d7b06887191c", "8ee8c57c636b6fe2"),
+    "delta": ("89fe02ed6a13ff60", "5ab96e42321a99cb"),
+    "mix0": ("f118df96c37c0059", "21507db2e7ac1f01"),
+    "mix1": ("9fe16868e6480759", "e4fd06f918c48904"),
+    "mix2": ("9fe16868e6480759", "cad57b05fa43c335"),
+    "mix3": ("e611a6ea7f11fc62", "e4fd06f918c48904"),
+    "mix4": ("f118df96c37c0059", "cad57b05fa43c335"),
+    "mix5": ("9fe16868e6480759", "e4fd06f918c48904"),
+}
+
+
+class TestTraceStreamsPinned:
+    def test_every_workload_and_mix_is_pinned(self):
+        assert list(TRACE_STREAM_SHA256) == [*WORKLOADS, *MIXES]
+
+    @pytest.mark.parametrize("name", [*WORKLOADS, *MIXES])
+    def test_stream_digest(self, name):
+        factory = trace_factory(name, small_8core(), seed=7)
+        digests = []
+        for core in (0, 1):
+            h = hashlib.sha256()
+            for rec in itertools.islice(factory(core), 20_000):
+                h.update(b"%d,%d,%d;" % rec)
+            digests.append(h.hexdigest()[:16])
+        assert tuple(digests) == TRACE_STREAM_SHA256[name]
