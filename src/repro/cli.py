@@ -13,11 +13,9 @@ Commands
 ``serve``          run the long-running experiment service (HTTP API)
 ``submit``         submit a grid to a running service and fetch results
 ``jobs``           inspect a service's job table (``--quarantined`` for
-                   the dead-letter queue; ``--requeue`` to drain it;
-                   ``--watch`` to poll it live)
+                   the dead-letter queue; ``--requeue`` to drain it)
 ``trace``          run one workload with telemetry enabled and write a
                    Chrome trace-event JSON (load in Perfetto)
-``top``            live service dashboard polling ``/v1/stats``
 
 Every simulating command runs through the declarative experiment layer
 (:mod:`repro.experiment`): duplicate grid points simulate once, finished
@@ -70,6 +68,7 @@ from repro.experiment.cache import default_cache_dir
 from repro.experiment.resultset import RELATIVE_METRICS, valid_metric
 from repro.experiment.spec import BASELINE, INHERIT, policy_arg
 from repro.sampling import SamplingConfig
+from repro.service.queue import STATES as JOB_STATES
 from repro.telemetry import configure_logging, get_logger
 from repro.workloads.suites import ALL_WORKLOADS
 
@@ -678,25 +677,15 @@ def _cmd_jobs(args) -> int:
             print(f"requeued {out['requeued']} quarantined job(s)")
             return 0
         state = "quarantined" if args.quarantined else args.state
-        polls = 0
-        while True:
-            listing = client.jobs(state)
-            if args.json:
-                print(json.dumps(listing, indent=2))
-            else:
-                _render_jobs(listing, state, args)
-            polls += 1
-            if not args.watch or \
-                    (args.iterations and polls >= args.iterations):
-                return 0
-            time.sleep(args.interval)
-            if not args.json:
-                print()
-    except KeyboardInterrupt:
-        return 0
+        listing = client.jobs(state)
     except ServiceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    if args.json:
+        print(json.dumps(listing, indent=2))
+    else:
+        _render_jobs(listing, state, args)
+    return 0
 
 
 def _cmd_trace(args) -> int:
@@ -752,72 +741,6 @@ def _cmd_trace(args) -> int:
           f"(load in Perfetto / chrome://tracing); "
           f"root span covers {coverage:.1f}% of wall-clock")
     return 0
-
-
-def _render_top(stats, args) -> None:
-    if sys.stdout.isatty() and not args.no_clear:
-        print("\x1b[2J\x1b[H", end="")
-    jobs = stats["jobs"]
-    workers = stats["workers"]
-    store = stats["store"]
-    rates = stats["rates"]
-    grids = stats.get("grids", {})
-    print(f"repro top - {args.server}  "
-          f"uptime {stats['uptime_seconds']:.0f}s  "
-          f"grids " + (" ".join(f"{state}={count}" for state, count
-                                in sorted(grids.items())) or "none"))
-    print("jobs:    " + (" ".join(
-        f"{state}={count}"
-        for state, count in sorted(jobs.items())) or "none"))
-    print(f"workers: {workers['shards']}x {workers['mode']}  "
-          f"utilisation {100.0 * workers['utilisation']:.1f}%  "
-          f"busy {workers['busy_seconds']:.1f}s  "
-          f"inflight {workers['inflight_groups']}  "
-          f"groups {workers['groups']}  jobs {workers['jobs']}  "
-          f"failures {workers['failures']}  "
-          f"retried {workers['retried']}  "
-          f"quarantined {workers['quarantined']}  "
-          f"timeouts {workers['timeouts']}")
-    print(f"store:   hits {store['hits']}  misses {store['misses']}  "
-          f"puts {store['puts']}  "
-          f"integrity_failures {store['integrity_failures']}")
-    print(f"rates:   retry {100.0 * rates['retry']:.2f}%  "
-          f"quarantine {100.0 * rates['quarantine']:.2f}%  "
-          f"integrity {100.0 * rates['integrity']:.2f}%")
-    ages = stats.get("queue_ages", {})
-    if ages:
-        rows = [(tenant, entry["waiting"], f"{entry['p50']:.1f}",
-                 f"{entry['p90']:.1f}", f"{entry['max']:.1f}")
-                for tenant, entry in sorted(ages.items())]
-        print(format_table(
-            ["tenant", "waiting", "p50 (s)", "p90 (s)", "max (s)"],
-            rows, title="queue age by tenant"))
-
-
-def _cmd_top(args) -> int:
-    """Live service dashboard: poll ``/v1/stats`` and render it."""
-    from repro.service import ServiceClient, ServiceError
-
-    client = ServiceClient(args.server, timeout=args.timeout)
-    polls = 0
-    try:
-        while True:
-            stats = client.stats()
-            if args.json:
-                print(json.dumps(stats, indent=2))
-            else:
-                _render_top(stats, args)
-            polls += 1
-            if args.iterations and polls >= args.iterations:
-                return 0
-            time.sleep(args.interval)
-            if not args.json and not sys.stdout.isatty():
-                print()
-    except KeyboardInterrupt:
-        return 0
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
 
 
 def _cmd_list(args) -> int:
@@ -970,10 +893,8 @@ def build_parser() -> argparse.ArgumentParser:
         "jobs", help="inspect a running service's job table")
     p_jobs.add_argument("--server", default="http://127.0.0.1:8023",
                         help="service base URL")
-    p_jobs.add_argument("--state", default=None,
-                        help="filter by job state "
-                             "(pending/running/done/failed/cancelled/"
-                             "quarantined)")
+    p_jobs.add_argument("--state", default=None, choices=JOB_STATES,
+                        help="filter by job state")
     p_jobs.add_argument("--quarantined", action="store_true",
                         help="shorthand for --state quarantined "
                              "(the dead-letter queue)")
@@ -981,16 +902,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None,
                         help="requeue quarantined jobs (no keys = all) "
                              "with a fresh attempt budget")
-    p_jobs.add_argument("--watch", action="store_true",
-                        help="poll the job table until Ctrl-C "
-                             "(or --iterations)")
-    p_jobs.add_argument("--interval", type=float, default=2.0,
-                        metavar="SECONDS",
-                        help="--watch refresh period (default 2)")
-    p_jobs.add_argument("--iterations", type=int, default=0,
-                        metavar="N",
-                        help="stop --watch after N refreshes "
-                             "(0 = until Ctrl-C)")
     p_jobs.add_argument("--timeout", type=float, default=30.0,
                         metavar="SECONDS", help="HTTP timeout")
     p_jobs.add_argument("--json", action="store_true",
@@ -1010,24 +921,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="print the trace summary as JSON")
     _add_config_args(p_tr)
     p_tr.set_defaults(fn=_cmd_trace)
-
-    p_top = sub.add_parser(
-        "top", help="live dashboard for a running service")
-    p_top.add_argument("--server", default="http://127.0.0.1:8023",
-                       help="service base URL")
-    p_top.add_argument("--interval", type=float, default=2.0,
-                       metavar="SECONDS",
-                       help="refresh period (default 2)")
-    p_top.add_argument("--iterations", type=int, default=0, metavar="N",
-                       help="stop after N refreshes (0 = until Ctrl-C)")
-    p_top.add_argument("--no-clear", dest="no_clear",
-                       action="store_true",
-                       help="do not clear the screen between refreshes")
-    p_top.add_argument("--timeout", type=float, default=30.0,
-                       metavar="SECONDS", help="HTTP timeout")
-    p_top.add_argument("--json", action="store_true",
-                       help="emit the raw /v1/stats body per poll")
-    p_top.set_defaults(fn=_cmd_top)
 
     return parser
 

@@ -1,10 +1,14 @@
 """Configuration presets.
 
 ``paper_8core`` mirrors paper Table II exactly.  ``small_8core`` keeps the
-same *shape* (ways, watermarks, policies, relative capacities) but scales
-capacities down ~32x so a pure-Python cycle model finishes in seconds; the
-workload generators size their working sets relative to the LLC, so cache
-pressure - the thing BARD responds to - is preserved.
+same *shape* (ways, latencies, MSHRs, watermarks, policies) but shrinks the
+caches so a pure-Python cycle model finishes in seconds: L1I and L1D 8x
+(4 KB, 6 KB), L2 16x (32 KB) and the LLC 128x (128 KB).  The levels do
+not shrink alike, so relative capacities change: the LLC is half of the
+eight L2s together (128 KB against 8 x 32 KB), where the paper's is 4x
+(16 MB against 8 x 512 KB).  The workload generators size their working
+sets relative to the LLC, so pressure on the LLC - the level BARD acts
+on - scales with it.
 """
 
 from __future__ import annotations

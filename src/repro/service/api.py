@@ -3,7 +3,6 @@
 Endpoints (all JSON bodies)::
 
     GET  /v1/health                liveness + version
-    GET  /v1/stats                 service-wide accounting
     GET  /v1/metrics               Prometheus text exposition
                                    (the one non-JSON endpoint)
     POST /v1/grids                 submit a grid        -> 202 status
@@ -123,8 +122,6 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             if parts == ["v1", "health"]:
                 self._send(200, {"status": "ok",
                                  "version": API_VERSION})
-            elif parts == ["v1", "stats"]:
-                self._send(200, self.service.stats())
             elif parts == ["v1", "metrics"]:
                 self._send_bytes(
                     200, self.service.metrics_text().encode(),

@@ -175,14 +175,11 @@ class ServiceClient:
     def health(self) -> Dict[str, Any]:
         return self._request("GET", "/v1/health")
 
-    def stats(self) -> Dict[str, Any]:
-        return self._request("GET", "/v1/stats")
-
     def metrics(self) -> str:
         """Raw Prometheus text exposition from ``/v1/metrics``.
 
-        The one non-JSON endpoint; returned verbatim for scrapers,
-        ``repro top``, and tests asserting on series.
+        The one non-JSON endpoint; returned verbatim for scrapers
+        and tests asserting on series.
         """
         url = f"{self.base_url}/v1/metrics"
         request = Request(url, method="GET",

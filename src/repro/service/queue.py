@@ -169,15 +169,6 @@ class Job:
         del self.error_chain[:-MAX_ERROR_CHAIN]
 
 
-def _percentile(sorted_values: List[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending list (empty -> 0.0)."""
-    if not sorted_values:
-        return 0.0
-    rank = max(0, min(len(sorted_values) - 1,
-                      int(round(q * (len(sorted_values) - 1)))))
-    return sorted_values[rank]
-
-
 class JobQueue:
     """Disk-backed job table with fair leasing and bounded admission."""
 
@@ -599,8 +590,12 @@ class JobQueue:
         key, tenant, state, priority, attempts, latest error, error
         chain, interested grids, retry bookkeeping, and queue age
         (seconds since admission for pending/running jobs, 0 for
-        terminal states and pre-telemetry records).
+        terminal states and pre-telemetry records).  An unknown
+        ``state`` raises :class:`ValueError`.
         """
+        if state is not None and state not in STATES:
+            raise ValueError(f"unknown job state {state!r}; "
+                             f"expected one of {', '.join(STATES)}")
         now = time.time()
         with self._lock:
             out = []
@@ -633,43 +628,6 @@ class JobQueue:
             for job in self._jobs.values():
                 out[job.state] = out.get(job.state, 0) + 1
             return out
-
-    def tenant_counts(self) -> Dict[str, Dict[str, int]]:
-        """Per-tenant job totals by state."""
-        with self._lock:
-            out: Dict[str, Dict[str, int]] = {}
-            for job in self._jobs.values():
-                bucket = out.setdefault(
-                    job.tenant, {state: 0 for state in STATES})
-                bucket[job.state] += 1
-            return out
-
-    def pending_ages(self) -> Dict[str, Dict[str, float]]:
-        """Per-tenant queue-age percentiles over waiting jobs (seconds).
-
-        Covers PENDING and RUNNING jobs with a recorded admission time;
-        the p50/p90/max trio is what ``/v1/stats`` reports per tenant
-        and what ``repro top`` renders.  Empty dict when nothing waits.
-        """
-        now = time.time()
-        with self._lock:
-            ages: Dict[str, List[float]] = {}
-            for job in self._jobs.values():
-                if job.state not in (PENDING, RUNNING) or \
-                        not job.enqueued_at:
-                    continue
-                ages.setdefault(job.tenant, []).append(
-                    max(0.0, now - job.enqueued_at))
-        out: Dict[str, Dict[str, float]] = {}
-        for tenant, values in sorted(ages.items()):
-            values.sort()
-            out[tenant] = {
-                "waiting": len(values),
-                "p50": _percentile(values, 0.5),
-                "p90": _percentile(values, 0.9),
-                "max": values[-1],
-            }
-        return out
 
     def outstanding(self) -> int:
         """Jobs still pending or running (the drain condition).

@@ -756,67 +756,6 @@ class ExperimentService:
 
     # -- introspection -------------------------------------------------
 
-    def stats(self) -> Dict[str, Any]:
-        """Service-wide accounting (the GET /v1/stats body)."""
-        with self._lock:
-            grid_states: Dict[str, int] = {}
-            for record in self._grids.values():
-                try:
-                    state = self.status(record["grid_id"])["state"]
-                except UnknownGrid:  # pragma: no cover - racing delete
-                    continue
-                grid_states[state] = grid_states.get(state, 0) + 1
-            counters = dict(self.counters)
-        workers = self.workers.stats_dict()
-        store = self.store.stats_dict()
-        executed = workers["jobs"] + workers["failures"]
-
-        def _registry_value(name: str, **labels: str) -> int:
-            return int(telemetry.registry_value(name, **labels))
-
-        return {
-            "uptime_seconds": time.time() - self._started_at,
-            "grids": grid_states,
-            "jobs": self.queue.counts(),
-            "tenants": self.queue.tenant_counts(),
-            "queue_ages": self.queue.pending_ages(),
-            "store": store,
-            "workers": workers,
-            "rates": {
-                # Failure-mode rates per executed job attempt: how often
-                # an attempt was retried, dead-lettered, or tripped the
-                # store's integrity check.  0.0 on an idle service.
-                "retry": (workers["retried"] / executed
-                          if executed else 0.0),
-                "quarantine": (workers["quarantined"] / executed
-                               if executed else 0.0),
-                "integrity": (store["integrity_failures"] / executed
-                              if executed else 0.0),
-            },
-            "counters": counters,
-            # Process-wide adaptive-orchestration totals, straight from
-            # the registry counters the planner increments - the same
-            # events AdaptiveReport totals are built from, so the two
-            # always reconcile.
-            "adaptive": {
-                "rounds": _registry_value(
-                    "repro_adaptive_rounds_total"),
-                "escalations": _registry_value(
-                    "repro_adaptive_escalations_total"),
-                "pruned": _registry_value(
-                    "repro_adaptive_pruned_total"),
-                "instructions_spent": _registry_value(
-                    "repro_adaptive_instructions_total", kind="spent"),
-                "instructions_saved": _registry_value(
-                    "repro_adaptive_instructions_total", kind="saved"),
-            },
-            "limits": {
-                "max_pending_per_tenant":
-                    self.queue.max_pending_per_tenant,
-                "max_pending_total": self.queue.max_pending_total,
-            },
-        }
-
     def metrics_text(self) -> str:
         """The ``/v1/metrics`` body: Prometheus text exposition.
 
@@ -830,14 +769,6 @@ class ExperimentService:
             "repro_queue_depth", "Jobs by state", ("state",))
         for state, count in self.queue.counts().items():
             depth.labels(state=state).set(count)
-        ages = registry.gauge(
-            "repro_queue_age_seconds",
-            "Pending-age percentiles per tenant",
-            ("tenant", "quantile"))
-        for tenant, stats in self.queue.pending_ages().items():
-            for quantile in ("p50", "p90", "max"):
-                ages.labels(tenant=tenant,
-                            quantile=quantile).set(stats[quantile])
         workers = self.workers.stats_dict()
         registry.gauge(
             "repro_worker_utilisation",

@@ -57,10 +57,10 @@ def registry_value(name: str, **labels: str) -> float:
     """One series' current value from :data:`REGISTRY`, 0.0 when absent.
 
     The read-side convenience for always-on operational families
-    (``repro_adaptive_*``, queue/worker counters): callers rendering a
-    stats payload - or tests reconciling report totals against counter
-    deltas - want "the number, or zero if nothing incremented it yet"
-    without reimplementing the family-missing check.
+    (``repro_adaptive_*``, queue/worker counters): tests reconciling
+    report totals against counter deltas want "the number, or zero if
+    nothing incremented it yet" without reimplementing the
+    family-missing check.
     """
     family = REGISTRY.get(name)
     return family.value(**labels) if family is not None else 0.0

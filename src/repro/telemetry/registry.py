@@ -370,7 +370,7 @@ class MetricsRegistry:
         return "\n".join(lines) + "\n" if lines else ""
 
     def snapshot(self) -> Dict[str, Dict[str, float]]:
-        """Flat ``{name: {labelset: value}}`` view (tests, ``repro top``).
+        """Flat ``{name: {labelset: value}}`` view (for tests).
 
         Histogram series appear as ``name_count``/``name_sum`` entries.
         """

@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+from repro.cli import main
 from repro.experiment import ExperimentSpec
 from repro.service import Backpressure, ExperimentService, \
     ResultNotReady, ServiceClient, ServiceConfig, ServiceError, \
@@ -84,15 +85,6 @@ class TestRoundTrip:
             records = client.result(second["grid_id"])["records"]
         assert len(records) == 2
 
-    def test_stats_endpoint(self, tmp_path):
-        with _serve(tmp_path) as client:
-            ticket = client.submit(_grid())
-            client.wait(ticket["grid_id"], timeout=60)
-            stats = client.stats()
-        assert stats["grids"] == {"done": 1}
-        assert stats["jobs"]["done"] == 2
-        assert "limits" in stats and "workers" in stats
-
     def test_cancel_endpoint(self, tmp_path):
         with _serve(tmp_path, start_workers=False) as client:
             ticket = client.submit(_grid())
@@ -140,6 +132,25 @@ class TestErrorMapping:
                 client._request("GET", "/v1/nope")
         assert info.value.status == 404
 
+    def test_removed_stats_endpoint_is_404(self, tmp_path):
+        # /v1/metrics and /v1/jobs are the ways to read a running
+        # service; the JSON /v1/stats read-out is gone.
+        with _serve(tmp_path) as client:
+            ticket = client.submit(_grid())
+            client.wait(ticket["grid_id"], timeout=60)
+            assert client.jobs("done")["count"] == 2
+            with pytest.raises(ServiceError) as info:
+                client._request("GET", "/v1/stats")
+        assert info.value.status == 404
+        assert "no such endpoint" in str(info.value)
+
+    def test_unknown_job_state_is_400(self, tmp_path):
+        with _serve(tmp_path, start_workers=False) as client:
+            with pytest.raises(ServiceError) as info:
+                client.jobs("bogus")
+        assert info.value.status == 400
+        assert "unknown job state" in str(info.value)
+
     def test_unreachable_server(self):
         client = ServiceClient("http://127.0.0.1:9", timeout=0.5)
         with pytest.raises(ServiceError) as info:
@@ -159,3 +170,56 @@ class TestWireFormat:
             via_dict = client.submit(experiment_to_dict(spec),
                                      tenant="alice")
         assert via_dict["grid_id"] == via_spec["grid_id"]
+
+
+def _quarantine_one(tmp_path):
+    """Leave one quarantined job in the service state under tmp_path."""
+    service = ExperimentService(ServiceConfig(
+        state_dir=tmp_path / "state", store_dir=tmp_path / "store",
+        use_processes=False))
+    service.submit(_grid(workloads=("copy",)), tenant="alice")
+    (job,) = service.queue.lease(max_jobs=1)
+    service.queue.quarantine(job.key, "injected fault", lease=job.lease)
+    return job.key
+
+
+class TestJobsCLI:
+    def test_quarantined_lists_the_error_chain(self, tmp_path, capsys):
+        key = _quarantine_one(tmp_path)
+        with _serve(tmp_path, start_workers=False) as client:
+            rc = main(["jobs", "--server", client.base_url,
+                       "--quarantined"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "1 job(s) in state 'quarantined'" in out
+        assert "error chains (oldest attempt first):" in out
+        assert f"  {key[:16]}:" in out
+        assert "attempt 1: injected fault" in out
+
+    def test_requeue_prints_the_count(self, tmp_path, capsys):
+        key = _quarantine_one(tmp_path)
+        with _serve(tmp_path, start_workers=False) as client:
+            rc = main(["jobs", "--server", client.base_url,
+                       "--requeue", key])
+            assert client.jobs("pending")["count"] == 1
+        assert rc == 0
+        assert "requeued 1" in capsys.readouterr().out
+
+    def test_unreachable_server_exits_4(self, capsys):
+        rc = main(["jobs", "--server", "http://127.0.0.1:9",
+                   "--timeout", "0.5"])
+        assert rc == 4
+        assert "cannot reach" in capsys.readouterr().err
+
+    def test_unknown_state_exits_2(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["jobs", "--state", "finished"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["top"], ["jobs", "--watch"]],
+                             ids=["top", "jobs-watch"])
+    def test_removed_live_views_exit_2(self, argv):
+        # one-shot `repro jobs` and /v1/metrics replace the dashboards
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2

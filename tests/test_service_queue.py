@@ -231,4 +231,4 @@ class TestLifecycle:
         counts = queue.counts()
         assert counts[DONE] == 1 and counts[PENDING] == 1
         assert queue.outstanding() == 1
-        assert queue.tenant_counts()["default"][DONE] == 1
+        assert [job["tenant"] for job in queue.jobs(DONE)] == ["default"]

@@ -50,6 +50,17 @@ def _clean_telemetry():
 _SAMPLE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? \S+$")
 
 
+def _samples(text):
+    """``{series: value}`` of a Prometheus text body, format-checked."""
+    samples = {}
+    for line in text.splitlines():
+        assert line.startswith("#") or _SAMPLE.match(line), line
+        if not line.startswith("#"):
+            key, value = line.rsplit(" ", 1)
+            samples[key] = float(value)
+    return samples
+
+
 class TestRegistry:
     def test_counter_inc_and_render(self):
         registry = MetricsRegistry()
@@ -323,13 +334,7 @@ class TestServiceIntrospection:
         with _serve(tmp_path) as client:
             ticket = client.submit(_grid(), tenant="alice")
             client.wait(ticket["grid_id"], timeout=120, poll=0.02)
-            text = client.metrics()
-        samples = {}
-        for line in text.splitlines():
-            assert line.startswith("#") or _SAMPLE.match(line), line
-            if not line.startswith("#"):
-                key, value = line.rsplit(" ", 1)
-                samples[key] = float(value)
+            samples = _samples(client.metrics())
         done = sum(v for k, v in samples.items()
                    if k.startswith("repro_jobs_transitions_total")
                    and 'to_state="done"' in k)
@@ -341,32 +346,29 @@ class TestServiceIntrospection:
                        "repro_service_uptime_seconds"):
             assert any(k.startswith(family) for k in samples), family
 
-    def test_stats_rates_and_queue_ages(self, tmp_path):
+    def test_metrics_carry_worker_and_failure_counters(self, tmp_path):
         with _serve(tmp_path) as client:
             ticket = client.submit(_grid(), tenant="alice")
             client.wait(ticket["grid_id"], timeout=120, poll=0.02)
-            stats = client.stats()
-        assert set(stats["rates"]) == \
-            {"retry", "quarantine", "integrity"}
-        assert stats["rates"]["quarantine"] == 0.0
-        assert stats["workers"]["utilisation"] >= 0.0
-        assert stats["workers"]["busy_seconds"] > 0.0
-        assert "queue_ages" in stats
+            samples = _samples(client.metrics())
+        for kind in ("retried", "quarantined"):
+            assert samples[f'repro_worker_events{{kind="{kind}"}}'] == 0
+        assert samples['repro_store_events{kind="integrity_failures"}'] \
+            == 0
+        assert samples["repro_worker_utilisation"] >= 0.0
+        assert samples["repro_worker_busy_seconds"] > 0.0
 
     def test_pending_jobs_carry_queue_age(self, tmp_path):
         # Workers never started: jobs stay PENDING and age visibly.
         with _serve(tmp_path, start_workers=False) as client:
             client.submit(_grid(), tenant="alice")
             listing = client.jobs("pending")
-            stats = client.stats()
         jobs = listing["jobs"]
         assert len(jobs) == 2
         for job in jobs:
+            assert job["tenant"] == "alice"
             assert job["enqueued_at"] > 0
             assert job["age"] >= 0.0
-        ages = stats["queue_ages"]["alice"]
-        assert ages["waiting"] == 2
-        assert 0.0 <= ages["p50"] <= ages["p90"] <= ages["max"]
 
 
 class TestLogs:
