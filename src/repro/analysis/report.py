@@ -35,7 +35,7 @@ def sampling_note(result: RunResult) -> Optional[str]:
                   f"({100 * ipc.rel_error:.1f}% rel err)")
     return (f"sampled ({result.label}): {summary.intervals} x "
             f"{summary.interval_instructions} instructions, "
-            f"{summary.scheme} every {summary.period_instructions}, "
+            f"every {summary.period_instructions}, "
             f"{100 * summary.confidence:.0f}% CI{detail}")
 
 

@@ -142,8 +142,6 @@ class Cache:
         lower: LowerLevel,
         writeback_policy=None,
         prefetcher=None,
-        mshr_targets: int = 0,
-        hit_under_miss: bool = True,
         pipeline: bool = False,
     ) -> None:
         if size_bytes % (ways * LINE_SIZE):
@@ -187,8 +185,6 @@ class Cache:
         # the processing body and the default configuration pays
         # nothing for the machinery.
         self._pipeline = pipeline
-        self.mshr_targets = mshr_targets
-        self.hit_under_miss = hit_under_miss
         self._pending: Deque[_PendingAccess] = deque()
         #: Stale fills to swallow: drain() completed these misses
         #: functionally while their lower-level fill was in flight.
@@ -259,29 +255,23 @@ class Cache:
         """Whether an access may enter the pipeline right now.
 
         Only consulted while misses are outstanding.  Admitted (True):
-        hits while ``hit_under_miss``; secondary misses merging into an
-        entry with target headroom; new misses while the MSHR file has a
-        free entry and nothing older is queued (queued accesses drain
-        FIFO - nothing overtakes them except hits and merges, which
-        attach to strictly older misses).  Everything else queues in
-        ``_pending`` and raises :attr:`stalled`; inadmissible *local*
-        prefetches - those with no completion callback - are dropped
-        instead (a real prefetcher gives up under pressure rather than
-        occupying pipeline queue slots).  A prefetch that does carry
-        ``on_done`` is an upper level's MSHR fill in flight; dropping it
-        would wedge that entry forever, so it queues like a demand.
+        hits; secondary misses merging into an outstanding entry (merges
+        are unbounded); new misses while the MSHR file has a free entry
+        and nothing older is queued (queued accesses drain FIFO -
+        nothing overtakes them except hits and merges, which attach to
+        strictly older misses).  Everything else queues in ``_pending``
+        and raises :attr:`stalled`; inadmissible *local* prefetches -
+        those with no completion callback - are dropped instead (a real
+        prefetcher gives up under pressure rather than occupying
+        pipeline queue slots).  A prefetch that does carry ``on_done``
+        is an upper level's MSHR fill in flight; dropping it would wedge
+        that entry forever, so it queues like a demand.
         """
         la = addr & _LINE_MASK
-        if self.hit_under_miss:
-            if la in self._tags[(la >> LINE_BITS) & self._set_mask]:
-                return True
-            entry = self.mshr.get(la)
-            if entry is not None:
-                if not self.mshr_targets \
-                        or entry.targets < self.mshr_targets:
-                    return True
-            elif not self._pending and len(self.mshr) < self.mshr_count:
-                return True
+        if la in self._tags[(la >> LINE_BITS) & self._set_mask] \
+                or la in self.mshr \
+                or (not self._pending and len(self.mshr) < self.mshr_count):
+            return True
         if is_prefetch and on_done is None:
             self.stats.prefetch_drops += 1
             return False
@@ -295,16 +285,9 @@ class Cache:
         """Whether the oldest queued access could enter the pipeline."""
         if not self.mshr:
             return True
-        if not self.hit_under_miss:
-            return False
         la = addr & _LINE_MASK
-        if la in self._tags[(la >> LINE_BITS) & self._set_mask]:
-            return True
-        entry = self.mshr.get(la)
-        if entry is not None:
-            return not self.mshr_targets \
-                or entry.targets < self.mshr_targets
-        return len(self.mshr) < self.mshr_count
+        return la in self._tags[(la >> LINE_BITS) & self._set_mask] \
+            or la in self.mshr or len(self.mshr) < self.mshr_count
 
     def _drain_pending(self, now: int) -> None:
         """Replay queued accesses in FIFO order while capacity lasts.

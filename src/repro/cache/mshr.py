@@ -23,9 +23,10 @@ MSHR count as an *issue-bandwidth* bound: entries are unbounded, but at
 most ``mshrs`` misses may be outstanding at the next level and excess
 misses queue inside the cache.  The opt-in pipeline regime
 (``CacheConfig.mshr_pipeline``) treats it as a true MSHR-file bound:
-occupancy never exceeds ``mshrs``, secondary misses are bounded per
-entry by ``mshr_targets``, and inadmissible accesses stall the pipeline
-(see :meth:`~repro.cache.cache.Cache._admit`).
+occupancy never exceeds ``mshrs`` and new misses that find the file
+full stall the pipeline (see :meth:`~repro.cache.cache.Cache._admit`).
+Both regimes are fully non-blocking: hits proceed under outstanding
+misses, and any number of secondary misses merge into an entry.
 """
 
 from __future__ import annotations
@@ -70,8 +71,6 @@ class MSHREntry:
     state: int = ALLOCATED
     #: Bitmask of the 8-byte words requests to this entry have touched.
     word_mask: int = 0
-    #: Requests folded into this entry, the initial one included.
-    targets: int = 1
     #: Set by :meth:`~repro.cache.cache.Cache.drain`: the miss was
     #: completed functionally and any in-flight send/fill is stale.
     drained: bool = False
@@ -89,6 +88,5 @@ class MSHREntry:
             # A demand access upgrades a prefetch-initiated miss.
             self.is_prefetch = False
         self.word_mask |= 1 << word
-        self.targets += 1
         if on_done is not None:
             self.waiters.append(on_done)

@@ -116,14 +116,8 @@ def _apply_sampling(args, cfg: SystemConfig) -> SystemConfig:
     kwargs = {"intervals": args.sample}
     if getattr(args, "sample_interval", None) is not None:
         kwargs["interval_instructions"] = args.sample_interval
-    if getattr(args, "sample_period", None) is not None:
-        kwargs["period_instructions"] = args.sample_period
     if getattr(args, "sample_warm", None) is not None:
         kwargs["warm_instructions"] = args.sample_warm
-    if getattr(args, "sample_scheme", None) is not None:
-        kwargs["scheme"] = args.sample_scheme
-    if getattr(args, "sample_seed", None) is not None:
-        kwargs["scheme_seed"] = args.sample_seed
     return cfg.with_sampling(SamplingConfig(**kwargs))
 
 
@@ -210,21 +204,10 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
                         type=int, metavar="N",
                         help="instructions measured per interval, per core "
                              "(default 1000)")
-    parser.add_argument("--sample-period", dest="sample_period",
-                        type=int, metavar="N",
-                        help="instructions between interval starts "
-                             "(default: epoch/intervals)")
     parser.add_argument("--sample-warm", dest="sample_warm",
                         type=int, metavar="N",
                         help="functional-warming instructions before each "
                              "interval (default 2000)")
-    parser.add_argument("--sample-scheme", dest="sample_scheme",
-                        choices=["periodic", "random"],
-                        help="interval placement within each period "
-                             "(default periodic)")
-    parser.add_argument("--sample-seed", dest="sample_seed", type=int,
-                        metavar="N",
-                        help="placement seed for --sample-scheme random")
 
 
 def _add_adaptive_args(parser: argparse.ArgumentParser) -> None:

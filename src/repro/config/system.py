@@ -24,12 +24,6 @@ class CacheConfig:
     mshrs: int
     replacement: str = "lru"
     prefetcher: Optional[str] = None
-    #: Max requests coalesced into one MSHR entry (0 = unlimited);
-    #: exceeding it is a secondary-miss stall.  Pipeline regime only.
-    mshr_targets: int = 0
-    #: Whether hits may proceed while misses are outstanding.  ``False``
-    #: models a blocking cache.  Pipeline regime only.
-    hit_under_miss: bool = True
     #: Opt into the MSHR pipeline: ``mshrs`` becomes a true MSHR-file
     #: occupancy bound with admission stalls that back up into the core
     #: (see ``docs/architecture.md``).  The default (off) keeps the
@@ -42,16 +36,6 @@ class CacheConfig:
             raise ConfigError("cache size and ways must be positive")
         if self.hit_latency < 1 or self.mshrs < 1:
             raise ConfigError("cache latency and MSHR count must be >= 1")
-        if self.mshr_targets < 0:
-            raise ConfigError("mshr_targets must be >= 0 (0 = unlimited)")
-        if self.mshr_targets and not self.mshr_pipeline:
-            raise ConfigError(
-                "mshr_targets needs mshr_pipeline=True (the legacy "
-                "regime never bounds coalescing)")
-        if not self.hit_under_miss and not self.mshr_pipeline:
-            raise ConfigError(
-                "hit_under_miss=False needs mshr_pipeline=True (the "
-                "legacy regime always hits under miss)")
 
 
 @dataclass(frozen=True)
@@ -208,6 +192,3 @@ class SystemConfig:
         """Copy with the all-bank refresh model enabled."""
         return replace(self, dram=replace(self.dram, refresh=True))
 
-    def without_pbpl(self) -> "SystemConfig":
-        """Copy with permutation-based page interleaving disabled."""
-        return replace(self, dram=replace(self.dram, pbpl=False))

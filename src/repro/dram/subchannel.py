@@ -114,7 +114,6 @@ class SubChannel:
         self._episode_writes = 0
         self._episode_banks: set[int] = set()
         self._episode_last_burst = _FAR_PAST
-        self._drain_all = False
 
     # ------------------------------------------------------------------
     # Arrivals (the channel pushes requests onto ``rq``/``wq`` itself;
@@ -226,11 +225,9 @@ class SubChannel:
         wq = self.wq
         queued = len(wq.entries)
         if self._in_drain:
-            if queued <= wq.low_watermark and not (
-                self._drain_all and queued
-            ):
+            if queued <= wq.low_watermark:
                 self._end_episode()
-        elif queued >= wq.high_watermark or (self._drain_all and queued):
+        elif queued >= wq.high_watermark:
             self._in_drain = True
             self._episode_start = now
             self._episode_writes = 0
@@ -364,10 +361,6 @@ class SubChannel:
     # ------------------------------------------------------------------
     # End-of-simulation helpers
     # ------------------------------------------------------------------
-
-    def set_drain_all(self, enabled: bool) -> None:
-        """Force continuous write draining (end-of-run flush)."""
-        self._drain_all = enabled
 
     def finalize(self, now: int) -> None:
         """Close out an in-progress drain episode for the statistics."""

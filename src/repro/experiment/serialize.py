@@ -35,7 +35,8 @@ from repro.sim.results import RunResult
 #: Bump when the RunResult schema changes incompatibly.
 #: v3: CacheStats gained the MSHR-pipeline counters (including the
 #: list-valued occupancy histogram) and RunResult ``mshr_stall_cycles``.
-RESULT_FORMAT = 3
+#: v4: SamplingSummary lost ``scheme`` (placement is always periodic).
+RESULT_FORMAT = 4
 
 #: Bump when the ExperimentSpec wire schema changes incompatibly.
 EXPERIMENT_FORMAT = 1

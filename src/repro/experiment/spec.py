@@ -33,7 +33,10 @@ from repro.errors import ConfigError
 #: v3: CacheConfig gained the MSHR-pipeline knobs (``mshr_targets``,
 #: ``hit_under_miss``, ``mshr_pipeline``) and the warm signature stopped
 #: hashing MSHR timing fields.
-RUN_KEY_VERSION = 3
+#: v4: CacheConfig lost ``mshr_targets`` and ``hit_under_miss``;
+#: SamplingConfig lost ``period_instructions``, ``scheme``,
+#: ``scheme_seed`` and ``confidence``.
+RUN_KEY_VERSION = 4
 
 #: Canonical label for the no-policy (LRU writeback) baseline.
 BASELINE = "baseline"

@@ -16,7 +16,8 @@ intervals instead of one monolithic measurement::
 The pieces:
 
 * :class:`~repro.sampling.config.SamplingConfig` - the plan (interval
-  length, period, count, placement scheme);
+  count and length, warming budgets; the intervals tile the epoch at
+  a fixed period, reported at a fixed 95% confidence level);
   plugs into :class:`~repro.config.system.SystemConfig` and is part of
   every run's content hash.
 * :mod:`repro.sampling.stats` - means, confidence intervals, relative
@@ -26,7 +27,7 @@ The pieces:
   per-interval snapshots into the whole-run result.
 """
 
-from repro.sampling.config import SCHEMES, SamplingConfig
+from repro.sampling.config import CONFIDENCE, SamplingConfig
 from repro.sampling.runner import aggregate_results, collect_metric_values, \
     interval_starts, validate_plan
 from repro.sampling.stats import SAMPLE_METRICS, MetricEstimate, \
@@ -34,8 +35,8 @@ from repro.sampling.stats import SAMPLE_METRICS, MetricEstimate, \
     summarize, z_value
 
 __all__ = [
+    "CONFIDENCE",
     "SAMPLE_METRICS",
-    "SCHEMES",
     "MetricEstimate",
     "SamplingConfig",
     "SamplingSummary",

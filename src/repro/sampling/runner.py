@@ -20,7 +20,6 @@ the golden sampling test pins.
 from __future__ import annotations
 
 import dataclasses
-import random
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence
 
 from repro.cache.cache import CacheStats
@@ -28,7 +27,6 @@ from repro.cache.writeback.base import WritebackPolicyStats
 from repro.core.bard import BardAccuracy
 from repro.dram.channel import ChannelStats
 from repro.dram.stats import SubChannelStats
-from repro.errors import ConfigError
 from repro.sampling.config import SamplingConfig
 from repro.sampling.stats import SamplingSummary
 
@@ -41,42 +39,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 def interval_starts(sampling: SamplingConfig,
                     epoch_instructions: int) -> Iterator[int]:
     """Yield the plan's ``intervals`` start offsets (instructions past
-    the warmup end).
-
-    One interval is placed per period window.  Placement is
-    deterministic: the ``random`` scheme draws each window's offset from
-    a generator seeded with ``scheme_seed``, so the same plan always
-    measures the same slices of the trace.
+    the warmup end): interval ``k`` starts at ``k * period``, so the
+    same plan always measures the same slices of the trace.
     """
     period = sampling.resolve_period(epoch_instructions)
-    slack = period - sampling.interval_instructions
-    rng = random.Random(sampling.scheme_seed) \
-        if sampling.scheme == "random" else None
     for index in range(sampling.intervals):
-        start = index * period
-        if rng is not None:
-            start += rng.randint(0, slack)
-        yield start
+        yield index * period
 
 
 def validate_plan(sampling: SamplingConfig,
                   epoch_instructions: int) -> int:
     """Check every interval lies inside the epoch; returns the period."""
-    period = sampling.resolve_period(epoch_instructions)
-    # Random placement can land anywhere inside the last period window,
-    # so its worst-case span is the full window count.
-    if sampling.scheme == "random":
-        span = sampling.intervals * period
-    else:
-        span = (sampling.intervals - 1) * period \
-            + sampling.interval_instructions
-    if span > epoch_instructions:
-        raise ConfigError(
-            f"sampling plan exceeds the measured epoch: "
-            f"{sampling.intervals} intervals every {period} "
-            f"instructions span up to {span} > sim_instructions "
-            f"{epoch_instructions}")
-    return period
+    return sampling.resolve_period(epoch_instructions)
 
 
 def _sum_counters(cls, items: Sequence):

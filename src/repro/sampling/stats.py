@@ -128,7 +128,6 @@ class SamplingSummary:
     results keep their confidence intervals.
     """
 
-    scheme: str
     intervals: int
     interval_instructions: int
     period_instructions: int

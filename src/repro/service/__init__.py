@@ -22,41 +22,33 @@ with an HTTP/JSON API, so many clients share one execution fabric:
 See ``docs/service.md`` for architecture and API reference.
 """
 
-from repro.service.api import API_VERSION, ServiceHTTPServer, make_server
-from repro.service.client import Backpressure, DEFAULT_URL, \
-    ResultNotReady, ServiceClient, ServiceError
-from repro.service.queue import CANCELLED, DONE, FAILED, Job, JobQueue, \
-    PENDING, QUARANTINED, QueueFull, RUNNING, STATES
-from repro.service.service import ExperimentService, ResultPending, \
-    ServiceConfig, UnknownGrid
-from repro.service.store import ResultStore, StoreStats
-from repro.service.workers import WorkerPool, WorkerStats
+import importlib
 
-__all__ = [
-    "API_VERSION",
-    "Backpressure",
-    "CANCELLED",
-    "DEFAULT_URL",
-    "DONE",
-    "ExperimentService",
-    "FAILED",
-    "Job",
-    "JobQueue",
-    "PENDING",
-    "QUARANTINED",
-    "QueueFull",
-    "RUNNING",
-    "ResultNotReady",
-    "ResultPending",
-    "ResultStore",
-    "STATES",
-    "ServiceClient",
-    "ServiceConfig",
-    "ServiceError",
-    "ServiceHTTPServer",
-    "StoreStats",
-    "UnknownGrid",
-    "WorkerPool",
-    "WorkerStats",
-    "make_server",
-]
+#: Where each exported name lives.  The exports load on first use (PEP
+#: 562), so ``import repro.service.queue`` - which the CLI does at start
+#: - does not pull in the HTTP server, the worker pool's
+#: multiprocessing machinery or the client.
+_EXPORTS = {
+    "api": ("API_VERSION", "ServiceHTTPServer", "make_server"),
+    "client": ("Backpressure", "DEFAULT_URL", "ResultNotReady",
+               "ServiceClient", "ServiceError"),
+    "queue": ("CANCELLED", "DONE", "FAILED", "Job", "JobQueue", "PENDING",
+              "QUARANTINED", "QueueFull", "RUNNING", "STATES"),
+    "service": ("ExperimentService", "ResultPending", "ServiceConfig",
+                "UnknownGrid"),
+    "store": ("ResultStore", "StoreStats"),
+    "workers": ("WorkerPool", "WorkerStats"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -68,7 +68,8 @@ STATES = (PENDING, RUNNING, DONE, FAILED, CANCELLED, QUARANTINED)
 _RESURRECTABLE = (FAILED, CANCELLED, QUARANTINED)
 
 #: On-disk job record format; unknown versions are skipped on load.
-JOB_FORMAT = 1
+#: v2: the embedded run spec carries the v4 run-key config.
+JOB_FORMAT = 2
 
 #: Most recent error-chain entries kept per job (bounds file growth).
 MAX_ERROR_CHAIN = 8

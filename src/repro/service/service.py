@@ -71,7 +71,9 @@ from repro.telemetry import get_logger
 logger = get_logger("service")
 
 #: On-disk grid record format; unknown versions are skipped on load.
-GRID_FORMAT = 2
+#: v3: the embedded run specs carry the v4 run-key config (no MSHR
+#: target bound, hit-under-miss switch or sampling placement knobs).
+GRID_FORMAT = 3
 
 # Grid lifecycle states (computed states in status() refine "active").
 ACTIVE = "active"

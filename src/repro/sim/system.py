@@ -86,8 +86,6 @@ class System:
             self.engine,
             self.memctrl,
             writeback_policy=self.llc_policy,
-            mshr_targets=config.llc.mshr_targets,
-            hit_under_miss=config.llc.hit_under_miss,
             pipeline=config.llc.mshr_pipeline,
         )
 
@@ -134,8 +132,6 @@ class System:
             self.engine,
             lower,
             prefetcher=make_prefetcher(cfg.prefetcher),
-            mshr_targets=cfg.mshr_targets,
-            hit_under_miss=cfg.hit_under_miss,
             pipeline=cfg.mshr_pipeline,
         )
 
@@ -440,9 +436,9 @@ class System:
         :class:`~repro.sampling.stats.SamplingSummary` with per-metric
         CLT confidence intervals.
         """
-        from repro.sampling import SAMPLE_METRICS, SamplingSummary, \
-            aggregate_results, collect_metric_values, interval_starts, \
-            summarize, validate_plan
+        from repro.sampling import CONFIDENCE, SAMPLE_METRICS, \
+            SamplingSummary, aggregate_results, collect_metric_values, \
+            interval_starts, summarize, validate_plan
 
         config = self.config
         sampling = config.sampling
@@ -452,7 +448,7 @@ class System:
                 "full measurement")
         epoch = config.sim_instructions
         period = validate_plan(sampling, epoch)
-        starts = interval_starts(sampling, epoch)
+        starts = list(interval_starts(sampling, epoch))
 
         self.warm_up()
         run_label = label or (config.llc_writeback or "baseline")
@@ -462,7 +458,6 @@ class System:
         # uses soft quotas so no core ever stops executing mid-plan.
         last_index = sampling.intervals - 1
         intervals: List[RunResult] = []
-        starts_used: List[int] = []
         retired = [0] * len(self.cores)
         cycles = [0.0] * len(self.cores)
         consumed = 0
@@ -525,7 +520,6 @@ class System:
                     core_stats = self._run_quota(
                         sampling.interval_instructions)
             consumed += sampling.interval_instructions
-            starts_used.append(start)
             interval_cores = core_stats if core_stats is not None \
                 else [c.stats for c in self.cores]
             if index == last_index:
@@ -549,14 +543,13 @@ class System:
 
         values = collect_metric_values(intervals, SAMPLE_METRICS)
         summary = SamplingSummary(
-            scheme=sampling.scheme,
             intervals=len(intervals),
             interval_instructions=sampling.interval_instructions,
             period_instructions=period,
             warm_instructions=sampling.warm_instructions,
-            confidence=sampling.confidence,
-            starts=starts_used,
-            metrics=summarize(values, sampling.confidence),
+            confidence=CONFIDENCE,
+            starts=starts,
+            metrics=summarize(values, CONFIDENCE),
         )
         result = aggregate_results(intervals, retired, cycles,
                                    run_label, summary)

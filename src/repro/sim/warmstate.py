@@ -46,9 +46,9 @@ def warm_config_signature(config: "SystemConfig") -> str:
     DRAM parameters, ROB/issue/retire widths, ``sim_instructions`` and
     the LLC writeback policy are deliberately excluded - none of them
     influence the functional warm path.  So are the per-level MSHR
-    timing knobs (``mshrs``, ``mshr_targets``, ``hit_under_miss``,
-    ``mshr_pipeline``): the functional warm path has no MSHRs at all,
-    which lets every point of an ``mshr`` sweep share one checkpoint.
+    timing knobs (``mshrs``, ``mshr_pipeline``): the functional warm
+    path has no MSHRs at all, which lets every point of an ``mshr``
+    sweep share one checkpoint.
     """
     payload = {
         "cores": config.cores,
@@ -66,8 +66,7 @@ def warm_config_signature(config: "SystemConfig") -> str:
 def _warm_cache_fields(cache_config) -> dict:
     """One level's config minus the fields the warm path ignores."""
     fields = dataclasses.asdict(cache_config)
-    for timing_only in ("mshrs", "mshr_targets", "hit_under_miss",
-                        "mshr_pipeline"):
+    for timing_only in ("mshrs", "mshr_pipeline"):
         fields.pop(timing_only, None)
     return fields
 

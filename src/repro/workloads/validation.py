@@ -29,12 +29,6 @@ class TraceProfile:
     unique_banks: int
     footprint_bytes: int
 
-    @property
-    def lines_per_kilo_instruction(self) -> float:
-        if not self.records:
-            return 0.0
-        return self.unique_lines * 1000 / self.records
-
 
 def profile_trace(trace: Iterator[TraceRecord], count: int = 20_000,
                   mapping: ZenMapping | None = None) -> TraceProfile:

@@ -1,8 +1,15 @@
 """Command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestParser:
@@ -32,6 +39,18 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["sweep-wq"])
         assert exc.value.code == 2
+
+    def test_import_leaves_the_service_stack_unloaded(self):
+        """Every command pays the CLI's import time; only ``serve``,
+        ``submit`` and ``jobs`` need the HTTP server and the worker
+        pool's multiprocessing machinery."""
+        code = ("import sys, repro.cli; print(sorted(m for m in "
+                "('http.server', 'multiprocessing.managers') "
+                "if m in sys.modules))")
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestCommands:

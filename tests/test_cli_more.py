@@ -67,11 +67,15 @@ class TestSamplingFlags:
                      "--sample", "2", "--sample-interval", "300",
                      "--no-cache", "--json"]) == 0
 
-    def test_random_scheme_flags(self, capsys):
-        assert main(["run", "copy", "--sample", "2",
-                     "--sample-interval", "300",
-                     "--sample-scheme", "random",
-                     "--sample-seed", "3"]) == 0
+    @pytest.mark.parametrize("flag", [
+        ["--sample-scheme", "random"], ["--sample-seed", "3"],
+        ["--sample-period", "500"]], ids=["scheme", "seed", "period"])
+    def test_removed_placement_flags_exit_2(self, flag):
+        # intervals always tile the epoch periodically
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "copy", "--sample", "2",
+                  "--sample-interval", "300"] + flag)
+        assert exc.value.code == 2
 
     def test_sample_with_detailed_warmup_is_config_error(self, capsys):
         rc = main(["run", "copy", "--sample", "2",

@@ -1,10 +1,12 @@
 """Experiment layer: spec expansion, hashing, caching, execution."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro import telemetry
+from repro.config.system import DramConfig
 from repro.errors import ConfigError
 from repro.experiment import (
     Axis,
@@ -17,6 +19,8 @@ from repro.experiment import (
     result_to_dict,
 )
 from repro.experiment import session as session_mod
+from repro.experiment.cache import payload_checksum
+from repro.experiment.serialize import RESULT_FORMAT, config_from_dict
 
 from .conftest import tiny_config
 
@@ -126,7 +130,8 @@ class TestExpansion:
                   for p in plan.points}
         assert states == {"on": True, "off": False}
         pb = ExperimentSpec(workloads="lbm",
-                            configs=tiny_config().without_pbpl(),
+                            configs=tiny_config(
+                                dram=DramConfig(channels=1, pbpl=False)),
                             axes=[make_axis("pbpl", ["on"])])
         assert pb.expand().points[0].spec.config.dram.pbpl is True
 
@@ -175,6 +180,13 @@ class TestSerialization:
         assert result_from_dict({"format": 999, "result": {}}) is None
         assert result_from_dict("garbage") is None
 
+    def test_removed_cache_field_is_config_error(self):
+        # A config serialised before CacheConfig lost mshr_targets.
+        payload = dataclasses.asdict(tiny_config())
+        payload["llc"]["mshr_targets"] = 0
+        with pytest.raises(ConfigError, match="mshr_targets"):
+            config_from_dict(payload)
+
 
 class TestCache:
     def test_second_session_hits_cache(self, tmp_path):
@@ -200,6 +212,20 @@ class TestCache:
             path.write_text(garbage)
         again = Session(cache_dir=tmp_path)
         again.run(spec)
+        assert again.stats.simulated == 1
+
+    def test_older_result_format_is_a_miss(self, tmp_path):
+        # A checksum-valid entry written by an older RESULT_FORMAT.
+        spec = ExperimentSpec(workloads="lbm", configs=tiny_config())
+        Session(cache_dir=tmp_path).run(spec)
+        (path,) = tmp_path.glob("*.json")
+        body = json.loads(path.read_text())
+        body["payload"]["format"] = RESULT_FORMAT - 1
+        body["checksum"] = payload_checksum(body["payload"])
+        path.write_text(json.dumps(body))
+        again = Session(cache_dir=tmp_path)
+        again.run(spec)
+        assert again.stats.disk_hits == 0
         assert again.stats.simulated == 1
 
     def test_unwritable_cache_dir_degrades_gracefully(self):

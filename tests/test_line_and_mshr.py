@@ -81,7 +81,6 @@ class TestMSHREntry:
         e.merge(False, False, None, word=3)  # duplicate word
         e.merge(True, False, None, word=7)
         assert e.word_mask == (1 << 0) | (1 << 3) | (1 << 7)
-        assert e.targets == 4
 
     def test_full_word_mask_covers_line(self):
         e = self._entry(word_mask=0)
@@ -100,12 +99,11 @@ class TestMSHREntry:
         e = self._entry()
         assert e.state == ALLOCATED
         assert not e.issued and not e.drained
-        assert e.targets == 1
 
 
 class TestMergeMonotonicity:
-    """Random merge streams: write-ness/demand-ness never downgrade,
-    the word mask only grows, and targets count every merge."""
+    """Random merge streams: write-ness/demand-ness never downgrade
+    and the word mask only grows."""
 
     def _random_merges(self, seed, start_prefetch):
         rng = random.Random(seed)
@@ -114,20 +112,19 @@ class TestMergeMonotonicity:
                       word_mask=1 << rng.randrange(WORDS_PER_LINE))
         trace = []
         for _ in range(60):
-            before = (e.is_write, e.is_prefetch, e.word_mask, e.targets)
+            before = (e.is_write, e.is_prefetch, e.word_mask)
             e.merge(rng.random() < 0.4, rng.random() < 0.5,
                     (lambda t: None) if rng.random() < 0.5 else None,
                     word=rng.randrange(WORDS_PER_LINE))
             trace.append((before, (e.is_write, e.is_prefetch,
-                                   e.word_mask, e.targets)))
+                                   e.word_mask)))
         return trace
 
     def test_monotone_under_random_streams(self):
         for seed in range(6):
             for start_prefetch in (False, True):
                 trace = self._random_merges(seed, start_prefetch)
-                for (w0, p0, m0, t0), (w1, p1, m1, t1) in trace:
+                for (w0, p0, m0), (w1, p1, m1) in trace:
                     assert w1 >= w0          # write-ness never downgrades
                     assert p1 <= p0          # demand-ness never downgrades
                     assert m1 & m0 == m0     # word mask only grows
-                    assert t1 == t0 + 1      # every merge is a target

@@ -6,7 +6,7 @@ queues inadmissible accesses; these tests pin its invariants:
 * occupancy never exceeds the MSHR count (seeded-random streams),
 * every waiter fires exactly once, at the fill tick,
 * queued misses drain FIFO,
-* hit-under-miss / mshr_targets ablations behave as documented,
+* hits and merges proceed under outstanding misses,
 * a huge-MSHR pipeline cache is latency-identical to the legacy
   regime (differential oracle),
 * drain() completes outstanding misses functionally and swallows the
@@ -36,13 +36,10 @@ from .test_cpu import InstantMemory, ZeroTLB
 
 
 def make_pipeline_cache(engine, lower, sets=4, ways=2, mshrs=2,
-                        latency=2, mshr_targets=0, hit_under_miss=True):
+                        latency=2):
     size = sets * ways * 64
     return Cache("pipe", size, ways, latency, mshrs,
-                 LRUPolicy(sets, ways), engine, lower,
-                 mshr_targets=mshr_targets,
-                 hit_under_miss=hit_under_miss,
-                 pipeline=True)
+                 LRUPolicy(sets, ways), engine, lower, pipeline=True)
 
 
 @pytest.fixture
@@ -167,47 +164,21 @@ class TestHitUnderMiss:
         engine.run()
         assert done[0] == start + cache.hit_latency_ticks
 
-    def test_blocking_cache_queues_hits(self):
-        engine = Engine()
-        lower = FakeLower(engine, delay=200)
-        cache = make_pipeline_cache(engine, lower, mshrs=2,
-                                    hit_under_miss=False)
-        cache.access(0, False, 1, 0, None)
-        engine.run()  # line 0 resident
-        start = engine.now
-        done = []
-        cache.access(64 * 4, False, 1, start, None)        # miss
-        cache.access(0, False, 1, start, lambda t: done.append(t))
-        assert cache.stalled          # the hit queued behind the miss
-        assert cache.stats.mshr_stalls == 1
-        engine.run()
-        # The queued hit completed only after the blocking miss filled.
-        assert done[0] >= start + lower.delay
-        assert not cache.stalled
-
-
-class TestTargetBound:
-    def test_secondary_miss_stall_at_target_bound(self):
+    def test_merges_are_unbounded(self):
         engine = Engine()
         lower = FakeLower(engine, auto=False)
-        cache = make_pipeline_cache(engine, lower, mshrs=4,
-                                    mshr_targets=2)
+        cache = make_pipeline_cache(engine, lower, mshrs=1)
         done = []
-        for i in range(3):
+        for i in range(8):
             cache.access(8 * i, False, 1, 0,
                          lambda t, i=i: done.append(i))
         engine.run()
-        # Two targets admitted (allocation + one merge); the third
-        # queued as a secondary-miss stall.
-        assert cache.mshr[0].targets == 2
-        assert cache.stats.mshr_stalls == 1
-        assert cache.stalled
+        # One entry holds the miss and all seven merges: nothing queued.
+        assert len(cache.mshr) == 1
+        assert cache.stats.mshr_stalls == 0 and not cache.stalled
         lower.respond_all()
         engine.run()
-        lower.respond_all()   # the re-missed third access fills next
-        engine.run()
-        assert sorted(done) == [0, 1, 2]
-        assert not cache.stalled
+        assert sorted(done) == list(range(8))
 
 
 class TestPrefetchAdmission:
@@ -331,22 +302,26 @@ STALL_BASE = TICKS_PER_CPU_CYCLE
 def stalled_core(budget=40):
     """A core asleep on an L1D stall that only the lower level can end.
 
-    Every instruction stores to one line through a one-target MSHR: the
-    first store misses and the next three queue as secondary-miss stalls.
-    The stores retire on the core's second tick, which finds the L1D
-    stalled and the ROB empty, so only the L1D's unstall can wake it.
-    Once the fill lands every store hits.  ``pulls`` holds the tick of
-    every trace record the core consumed.
+    Every instruction stores through a one-entry MSHR file, alternately
+    to two lines: the first store misses, the second finds the file full
+    and queues as a stall, the third merges into the outstanding miss
+    and the fourth queues behind the second.  The stores retire on the
+    core's second tick, which finds the L1D stalled and the ROB empty,
+    so only the L1D's unstall can wake it.  Once the first fill lands the
+    queue drains into the second line's miss, and every later store hits
+    or merges.  ``pulls`` holds the tick of every trace record the core
+    consumed.
     """
     engine = Engine()
     lower = FakeLower(engine, auto=False)
-    l1d = make_pipeline_cache(engine, lower, mshrs=1, mshr_targets=1)
+    l1d = make_pipeline_cache(engine, lower, mshrs=1)
     pulls = []
 
     def trace():
         while True:
+            line = len(pulls) % 2
             pulls.append(engine.now)
-            yield (STORE, 0, 4)
+            yield (STORE, 64 * line, 4)
 
     core = Core(0, trace(), engine, l1d, InstantMemory(engine), ZeroTLB(),
                 ZeroTLB(), rob_size=16, budget=budget)

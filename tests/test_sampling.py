@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.experiment import ExperimentSpec, Session
+from repro.experiment.serialize import config_from_dict
 from repro.experiment.spec import RunSpec, make_axis
 from repro.sampling import SamplingConfig
 from repro.sim.system import System
@@ -35,6 +36,10 @@ class TestConfigValidation:
             tiny_config(warmup_instructions=0).with_sampling(
                 SamplingConfig())
 
+    # Each plan goes through ``config_from_dict``, the path a cached or
+    # persisted config takes: an invalid value and a field this version
+    # no longer has (``period_instructions``, ``scheme``, ``confidence``)
+    # are both a ConfigError, never a TypeError.
     @pytest.mark.parametrize("kwargs", [
         dict(intervals=0),
         dict(interval_instructions=0),
@@ -47,8 +52,10 @@ class TestConfigValidation:
         dict(confidence=1.5),
     ])
     def test_invalid_plans_rejected(self, kwargs):
+        payload = dataclasses.asdict(sampled_tiny())
+        payload["sampling"].update(kwargs)
         with pytest.raises(ConfigError):
-            SamplingConfig(**kwargs)
+            config_from_dict(payload)
 
 
 class TestGoldenEquivalence:
@@ -120,16 +127,6 @@ class TestSampledRun:
         b = run_system(sampled_tiny())
         assert dataclasses.asdict(a) == dataclasses.asdict(b)
 
-    def test_random_scheme_reproducible(self):
-        sampling = SamplingConfig(
-            intervals=4, interval_instructions=300,
-            warm_instructions=200, detailed_warm_instructions=100,
-            scheme="random", scheme_seed=5)
-        a = run_system(sampled_tiny(sampling))
-        b = run_system(sampled_tiny(sampling))
-        assert a.sampling.starts == b.sampling.starts
-        assert dataclasses.asdict(a) == dataclasses.asdict(b)
-
     def test_unknown_summary_metric_lists_available(self):
         result = run_system(sampled_tiny())
         with pytest.raises(ValueError, match="mean_ipc"):
@@ -137,25 +134,21 @@ class TestSampledRun:
 
     def test_plan_must_fit_epoch(self):
         cfg = sampled_tiny(SamplingConfig(
-            intervals=4, interval_instructions=400,
-            period_instructions=2_000))  # span 6400 > epoch 4000
-        with pytest.raises(ConfigError, match="exceeds the measured"):
+            intervals=4, interval_instructions=1_200))  # 4 x 1200 > 4000
+        with pytest.raises(ConfigError, match="does not fit"):
             run_system(cfg)
 
-    def test_random_plan_validates_worst_case_span(self):
-        from repro.sampling import validate_plan
-
-        periodic = SamplingConfig(intervals=3, interval_instructions=1000,
-                                  period_instructions=4_000)
-        assert validate_plan(periodic, 10_000) == 4_000
-        randomised = SamplingConfig(intervals=3,
-                                    interval_instructions=1000,
-                                    period_instructions=4_000,
-                                    scheme="random")
-        # The last window's random offset could start an interval at up
-        # to 11000 - past the 10000-instruction epoch.
-        with pytest.raises(ConfigError, match="exceeds the measured"):
-            validate_plan(randomised, 10_000)
+    def test_starts_tile_the_epoch(self):
+        """Interval k starts at k * (epoch // intervals)."""
+        cfg = sampled_tiny(SamplingConfig(
+            intervals=3, interval_instructions=400,
+            warm_instructions=300, detailed_warm_instructions=200))
+        summary = run_system(cfg).sampling
+        period = cfg.sim_instructions // 3
+        assert period == 1_333
+        assert summary.period_instructions == period
+        assert summary.starts == [0, period, 2 * period]
+        assert summary.confidence == 0.95
 
     def test_dram_commands_cover_only_measured_intervals(self):
         """Discarded re-warm windows must not inflate DRAM commands."""

@@ -102,40 +102,6 @@ class TestIntervalStarts:
         starts = interval_starts(cfg, 4_000)
         assert [next(starts) for _ in range(4)] == [0, 1000, 2000, 3000]
 
-    def test_explicit_period(self):
-        cfg = SamplingConfig(intervals=3, interval_instructions=100,
-                             period_instructions=500)
-        starts = interval_starts(cfg, 10_000)
-        assert [next(starts) for _ in range(3)] == [0, 500, 1000]
-
-    def test_random_deterministic_in_seed(self):
-        cfg = SamplingConfig(intervals=5, interval_instructions=100,
-                             scheme="random", scheme_seed=11)
-        a = [next(interval_starts(cfg, 10_000)) for _ in range(1)]
-        first = interval_starts(cfg, 10_000)
-        second = interval_starts(cfg, 10_000)
-        assert [next(first) for _ in range(5)] == \
-            [next(second) for _ in range(5)]
-        assert a[0] == next(interval_starts(cfg, 10_000))
-
-    def test_random_seeds_differ(self):
-        def starts(seed):
-            cfg = SamplingConfig(intervals=5, interval_instructions=100,
-                                 scheme="random", scheme_seed=seed)
-            it = interval_starts(cfg, 10_000)
-            return [next(it) for _ in range(5)]
-
-        assert starts(1) != starts(2)
-
-    def test_random_stays_inside_windows(self):
-        cfg = SamplingConfig(intervals=8, interval_instructions=250,
-                             scheme="random", scheme_seed=3)
-        it = interval_starts(cfg, 8_000)
-        period = 1000
-        for i in range(8):
-            start = next(it)
-            assert i * period <= start <= (i + 1) * period - 250
-
     def test_plan_must_fit(self):
         cfg = SamplingConfig(intervals=10, interval_instructions=500)
         with pytest.raises(ConfigError):

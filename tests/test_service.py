@@ -222,6 +222,37 @@ class TestResumability:
         assert revived.counters["grids_resumed"] == 0
         assert revived.status(ticket["grid_id"])["state"] == "done"
 
+    def test_parent_format_state_is_skipped(self, tmp_path):
+        # State written before CacheConfig lost mshr_targets and
+        # hit_under_miss: grid format 2, job format 1.  Loading one of
+        # its specs would raise, so both records must be skipped.
+        import json
+
+        config = _config(tmp_path)
+        service = ExperimentService(config)
+        grid_id = service.submit(_grid(), tenant="alice")["grid_id"]
+        del service
+
+        def age(path, old_format, specs):
+            record = json.loads(path.read_text())
+            record["format"] = old_format
+            for spec in specs(record):
+                for level in ("l1i", "l1d", "l2", "llc"):
+                    spec["config"][level].update(mshr_targets=0,
+                                                 hit_under_miss=True)
+            path.write_text(json.dumps(record))
+
+        age(config.state_dir / "grids" / f"{grid_id}.json", 2,
+            lambda record: record["specs"].values())
+        for path in (config.state_dir / "queue").glob("*.json"):
+            age(path, 1, lambda record: [record["spec"]])
+
+        revived = ExperimentService(config)
+        assert len(revived.queue) == 0
+        assert revived.counters["grids_resumed"] == 0
+        with pytest.raises(UnknownGrid):
+            revived.status(grid_id)
+
 
 class TestCancellation:
     def test_cancel_marks_grid_and_jobs(self, tmp_path):

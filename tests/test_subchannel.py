@@ -135,14 +135,6 @@ class TestDrainEpisodes:
         assert sc.stats.w2w_delay_count == 31
         assert sc.stats.mean_w2w_ns > 0
 
-    def test_drain_all_empties_queue(self):
-        sc = make_sc()
-        for i in range(20):
-            sc.wq.push(_wreq(i * 64))
-        sc.set_drain_all(True)
-        drain_sc(sc)
-        assert len(sc.wq) == 0
-
 
 class TestIdealWrites:
     def test_ideal_writes_every_8_cycles(self):
