@@ -715,6 +715,19 @@ class Cache:
         self._issue_queue.clear()
         self._outstanding = 0
 
+    def close(self) -> None:
+        """Drop what points back into the hierarchy: outstanding misses
+        and queued accesses (their waiters are ``partial``s of the level
+        above), the per-instance ``access`` binding, the ``on_unstall``
+        hook and the writeback policy's link to this cache."""
+        self.mshr.clear()
+        self._issue_queue.clear()
+        self._pending.clear()
+        self.__dict__.pop("access", None)
+        self.on_unstall = None
+        if self.wb_policy is not None:
+            self.wb_policy.cache = None
+
     def snapshot_warm_state(self) -> "CacheWarmState":
         """Warm state: tag array + pickled replacement and prefetcher.
 

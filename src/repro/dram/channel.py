@@ -229,6 +229,16 @@ class Channel:
         for sc in self.subchannels:
             sc.finalize(cycle)
 
+    def close(self) -> None:
+        """Drop every queued and staged request (reads carry completion
+        callbacks into the cache hierarchy)."""
+        for sc in self.subchannels:
+            sc.rq.entries.clear()
+            sc.wq.entries.clear()
+            sc.wq.by_addr.clear()
+        for staged in (*self._staged_reads, *self._staged_writes):
+            staged.clear()
+
     def aggregate_stats(self) -> SubChannelStats:
         """Sum of both sub-channels' statistics."""
         total = SubChannelStats()

@@ -4,11 +4,12 @@ Results live as one JSON file per unique run, named by the run's content
 hash, under ``~/.cache/repro`` (overridable via ``REPRO_CACHE_DIR`` or a
 caller-supplied directory).  Files are written atomically and carry a
 ``checksum`` over the canonical payload JSON; every read verifies it.
-A file that is unreadable, torn, stale-format, or *silently garbled*
+A file that is unreadable, torn, checksum-less, or *silently garbled*
 (parseable JSON whose numbers no longer match the checksum - bit rot, a
 partial copy, a buggy sync tool) is **quarantined** to a ``quarantine/``
 sidecar directory and reads as a miss, so the run is transparently
-recomputed instead of corrupt data being served as truth.
+recomputed instead of corrupt data being served as truth.  An intact
+entry of another ``RESULT_FORMAT`` is a plain miss and stays in place.
 
 The cache is safe for concurrent writers.  Many Sessions and service
 worker shards routinely share one cache directory, so each publish
@@ -38,7 +39,8 @@ except ImportError:  # pragma: no cover - platform dependent
     fcntl = None  # type: ignore[assignment]
 
 from repro import telemetry
-from repro.experiment.serialize import result_from_dict, result_to_dict
+from repro.experiment.serialize import RESULT_FORMAT, result_from_dict, \
+    result_to_dict
 from repro.experiment.spec import RunSpec
 from repro.resilience import faults
 from repro.sim.results import RunResult
@@ -107,9 +109,9 @@ class ResultCache:
     def _read_verified(self, key: str) -> Optional[dict]:
         """Parse + checksum-verify an entry; quarantine on any failure.
 
-        Returns the payload dict, or ``None`` for both plain misses
-        (no file) and quarantined entries - the caller recomputes either
-        way.
+        Returns the payload dict, or ``None`` for plain misses (no file,
+        or an intact entry of another ``RESULT_FORMAT``) and quarantined
+        entries - the caller recomputes either way.
         """
         path = self._path(key)
         try:
@@ -127,6 +129,12 @@ class ResultCache:
             return None
         if payload_checksum(payload) != stored:
             self._quarantine(key)
+            return None
+        if not isinstance(payload, dict) \
+                or payload.get("format") != RESULT_FORMAT:
+            # Intact, but written in another result format: a plain
+            # miss.  It is neither present nor corrupt, so it is not
+            # quarantined; the recomputed run overwrites it.
             return None
         with self._verified_lock:
             self._verified.add(key)

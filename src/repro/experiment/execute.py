@@ -14,10 +14,18 @@ submission.
 (one round-trip per group); ``iter_group`` is the incremental form the
 serial path uses so an interrupt mid-group still keeps every finished
 member.
+
+Every run pauses the cycle collector from before its ``System`` is
+built until after :meth:`~repro.sim.system.System.close`, which leaves
+the machine free of reference cycles so dropping it frees it at once.
+The ``simulate`` fault site trips inside the pause, where a simulator
+crash or hang would happen.
 """
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from typing import Callable, Iterator, List, MutableMapping, Optional, \
     Tuple
 
@@ -37,14 +45,46 @@ GroupItem = Tuple[str, RunResult, int, int]
 SimulateFn = Callable[[RunSpec], RunResult]
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Keep the cycle collector off for the block, then restore it.
+
+    A collection during a run finds nothing to free (:func:`_machine`
+    closes every machine, so none is left as cyclic garbage) but walks
+    the whole live heap.  The switch is process-wide: a collector the
+    caller had disabled stays disabled.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@contextmanager
+def _machine(spec: RunSpec) -> Iterator[System]:
+    """``spec``'s System, closed on exit so reference counting frees it."""
+    factory = trace_factory(spec.workload, spec.config, seed=spec.seed)
+    system = System(spec.config, factory)
+    try:
+        yield system
+    finally:
+        system.close()
+
+
 def simulate(spec: RunSpec) -> RunResult:
     """Execute one run spec (the single entry point to the simulator)."""
     with telemetry.span("simulate", workload=spec.workload,
-                        label=spec.label or spec.workload):
-        factory = trace_factory(spec.workload, spec.config,
-                                seed=spec.seed)
-        system = System(spec.config, factory)
-        return system.run(label=spec.label or spec.workload)
+                        label=spec.label or spec.workload), \
+            _collector_paused():
+        with _machine(spec) as system:
+            result = system.run(label=spec.label or spec.workload)
+        # Free the machine while the collector is still paused: the
+        # first collection after the pause would walk all of it.
+        del system
+    return result
 
 
 def iter_group(items: List[KeyedSpec],
@@ -74,26 +114,28 @@ def iter_group(items: List[KeyedSpec],
     if len(items) == 1 and not share:
         key, spec = items[0]
         warmups = 1 if spec.config.warmup_instructions > 0 else 0
-        faults.trip("simulate", key)
-        yield key, simulate_fn(spec), warmups, 0
+        with _collector_paused():
+            faults.trip("simulate", key)
+            result = simulate_fn(spec)
+        yield key, result, warmups, 0
         return
     snapshot = snapshots.get(group_key) if share else None
     for key, spec in items:
-        faults.trip("simulate", key)
-        with telemetry.span("simulate", workload=spec.workload,
-                            label=spec.label or spec.workload):
-            factory = trace_factory(spec.workload, spec.config,
-                                    seed=spec.seed)
-            system = System(spec.config, factory)
-            if snapshot is None:
-                snapshot = system.snapshot_warm_state()
-                warmups, restores = 1, 0
-                if share:
-                    snapshots[group_key] = snapshot
-            else:
-                system.restore_warm_state(snapshot)
-                warmups, restores = 0, 1
-            result = system.run(label=spec.label or spec.workload)
+        with _collector_paused():
+            faults.trip("simulate", key)
+            with telemetry.span("simulate", workload=spec.workload,
+                                label=spec.label or spec.workload), \
+                    _machine(spec) as system:
+                if snapshot is None:
+                    snapshot = system.snapshot_warm_state()
+                    warmups, restores = 1, 0
+                    if share:
+                        snapshots[group_key] = snapshot
+                else:
+                    system.restore_warm_state(snapshot)
+                    warmups, restores = 0, 1
+                result = system.run(label=spec.label or spec.workload)
+            del system  # freed inside the pause, as in simulate()
         yield key, result, warmups, restores
 
 

@@ -12,8 +12,8 @@ Sites currently instrumented:
 
 ``simulate``
     Once per run, keyed by the run's content hash, inside
-    :func:`repro.experiment.execute.iter_group` - covers Sessions and
-    service worker shards alike.
+    :func:`repro.experiment.execute.iter_group` with the cycle collector
+    paused - covers Sessions and service worker shards alike.
 ``cache.put``
     After a result file is written (:meth:`ResultCache.put`); the
     ``truncate``/``garble`` actions corrupt the just-written file so

@@ -20,7 +20,9 @@ def atomic_write_json(path: Path, payload: Any) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle)
+            # ``dumps`` takes the C encoder; ``dump`` streams through the
+            # pure-Python one, whose closures leave cycles per call.
+            handle.write(json.dumps(payload))
         os.replace(tmp, path)
     except OSError:
         try:

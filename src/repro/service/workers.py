@@ -43,6 +43,7 @@ monkeypatched simulators and deterministic scheduling work.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import multiprocessing.managers
 import multiprocessing.pool
@@ -440,7 +441,9 @@ class WorkerPool:
         if not self.use_processes:
             # The stuck thread cannot be killed; retire it (it exits -
             # or its late completions no-op on the stale lease) and
-            # spawn a replacement so capacity is not lost.
+            # spawn a replacement so capacity is not lost.  It never
+            # leaves its run's collector pause, so end that here.
+            gc.enable()
             with self._lock:
                 if entry["ident"] is not None:
                     self._retired.add(entry["ident"])

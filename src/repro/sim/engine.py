@@ -77,6 +77,10 @@ class Engine:
         """
         self._stopped = True
 
+    def clear(self) -> None:
+        """Drop every pending event (they hold the components' methods)."""
+        self._heap.clear()
+
     @property
     def pending(self) -> int:
         """Number of events waiting in the queue."""

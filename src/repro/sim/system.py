@@ -33,7 +33,13 @@ TraceFactory = Callable[[int], Iterator[TraceRecord]]
 
 
 class System:
-    """A complete simulated machine built from a :class:`SystemConfig`."""
+    """A complete simulated machine built from a :class:`SystemConfig`.
+
+    Lifecycle: build; warm up (:meth:`warm_up`) or adopt a checkpoint
+    (:meth:`restore_warm_state`); :meth:`run`; then :meth:`close`, which
+    breaks the machine's reference cycles so dropping it frees it
+    without the cycle collector.
+    """
 
     def __init__(self, config: SystemConfig, traces: TraceFactory) -> None:
         self.config = config
@@ -95,6 +101,7 @@ class System:
         self.l1is: List[Cache] = []
         self._finished_count = 0
         self._warmed = False
+        self._closed = False
         for core_id in range(config.cores):
             l2 = self._make_cache(f"L2-{core_id}", config.l2, self.llc)
             l1d = self._make_cache(f"L1D-{core_id}", config.l1d, l2)
@@ -134,6 +141,26 @@ class System:
             prefetcher=make_prefetcher(cfg.prefetcher),
             pipeline=cfg.mshr_pipeline,
         )
+
+    def close(self) -> None:
+        """Break every reference cycle the built machine holds.
+
+        Pending events, queued requests and MSHR waiters hold bound
+        methods and ``partial``s of the components that own them, and
+        the wiring hooks point components back at each other, so a
+        dropped System would otherwise wait for the cycle collector.
+        After ``close()`` reference counting frees it.  Results already
+        collected stay valid; a closed System refuses to run.  Calling
+        it again is harmless.
+        """
+        self._closed = True
+        self.engine.clear()
+        for cache in self._warm_caches():
+            cache.close()
+        for channel in self.channels:
+            channel.close()
+        for core in self.cores:
+            core.on_finish = core._on_quota = None
 
     # ------------------------------------------------------------------
     # Run control
@@ -362,6 +389,8 @@ class System:
         detailed intervals, see :meth:`run_sampled`) instead of simulated
         monolithically.
         """
+        if self._closed:
+            raise SimulationError("this System is closed")
         config = self.config
         if config.sampling is not None:
             return self.run_sampled(label=label)
@@ -440,6 +469,8 @@ class System:
             SamplingSummary, aggregate_results, collect_metric_values, \
             interval_starts, summarize, validate_plan
 
+        if self._closed:
+            raise SimulationError("this System is closed")
         config = self.config
         sampling = config.sampling
         if sampling is None:

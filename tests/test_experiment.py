@@ -228,6 +228,35 @@ class TestCache:
         assert again.stats.disk_hits == 0
         assert again.stats.simulated == 1
 
+    def test_other_format_entry_reads_as_absent(self, tmp_path):
+        # An intact entry of another RESULT_FORMAT is a plain miss: not
+        # present (so admission never waits on it), not quarantined, and
+        # counted as a miss rather than a hit.
+        spec = RunSpec("lbm", tiny_config())
+        key = spec.key()
+        ResultCache(tmp_path).put(key, spec, session_mod.simulate(spec))
+        path = tmp_path / f"{key}.json"
+        body = json.loads(path.read_text())
+        body["payload"]["format"] = RESULT_FORMAT - 1
+        body["checksum"] = payload_checksum(body["payload"])
+        path.write_text(json.dumps(body))
+
+        cache = ResultCache(tmp_path)
+        count = telemetry.registry_value
+        telemetry.enable()
+        try:
+            hits = count("repro_cache_hits_total")
+            misses = count("repro_cache_misses_total")
+            assert key not in cache
+            assert not cache.verify(key)
+            assert cache.get(key) is None
+            assert count("repro_cache_hits_total") == hits
+            assert count("repro_cache_misses_total") == misses + 1
+        finally:
+            telemetry.disable()
+        assert path.exists()
+        assert cache.integrity_failures == 0
+
     def test_unwritable_cache_dir_degrades_gracefully(self):
         session = Session(cache_dir="/proc/no-such-cache")
         rs = session.run(ExperimentSpec(workloads="lbm",

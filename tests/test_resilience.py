@@ -10,6 +10,7 @@ schedules here replay deterministically.
 
 from __future__ import annotations
 
+import gc
 import json
 import time
 
@@ -427,9 +428,13 @@ class TestWorkerRetry:
                                           action="hang",
                                           seconds=8.0, times=1)])
         config = _config(tmp_path, shards=1, job_timeout=1.0)
+        assert gc.isenabled()
         with injected(plan), ExperimentService(config) as service:
             status = service.submit(_grid(), tenant="alice")
             assert service.drain(timeout=30.0)
+            # The zombie still sleeps inside its run's collector pause;
+            # the reaper turned the collector back on.
+            assert gc.isenabled()
             status = service.status(status["grid_id"])
             stats = service.workers.stats_dict()
         assert status["state"] == "done"
