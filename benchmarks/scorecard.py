@@ -274,9 +274,8 @@ def table10(rs):
 
 @table("tracker", designs("bard-h"))
 def tracker(rs):
-    accuracy = [r.bard_accuracy for r in rs.results()]
-    checked = [a.checked for a in accuracy]
-    wrong = [100.0 * a.error_rate for a in accuracy]
+    checked = [r.bard_accuracy.checked for r in rs.results()]
+    wrong = rs.metric("tracker_error_pct")
     return format_table(["workload", "decisions checked", "incorrect %"],
                         by_workload(rs, (checked, wrong),
                                     ("mean", sum(checked),

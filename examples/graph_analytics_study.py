@@ -34,10 +34,8 @@ def main() -> None:
                     f"  BLP {r.write_blp:5.1f}"
                     f"  W% {r.time_writing_pct:5.1f}")
             if policy == "bard-h":
-                s = r.wb_stats
-                total = max(1, s.victim_selections)
-                line += (f"  [{100 * s.overrides / total:.1f}% override, "
-                         f"{100 * s.cleanses / total:.1f}% cleanse]")
+                line += (f"  [{r.override_pct:.1f}% override, "
+                         f"{r.cleanse_pct:.1f}% cleanse]")
             print(line)
 
 

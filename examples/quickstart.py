@@ -49,12 +49,9 @@ def main() -> None:
     speedup = rs.speedup_vs("policy").only().value("speedup_pct")
     print("-" * 50)
     print(f"{'weighted speedup':<28} {speedup:>+9.2f}%")
-    decisions = bard.wb_stats
-    total = max(1, decisions.victim_selections)
-    print(f"\nBARD-H decisions: {decisions.victim_selections} victim "
-          f"selections, {100 * decisions.overrides / total:.1f}% "
-          f"overridden (BARD-E), {100 * decisions.cleanses / total:.1f}% "
-          f"cleansed (BARD-C)")
+    print(f"\nBARD-H decisions: {bard.wb_stats.victim_selections} victim "
+          f"selections, {bard.override_pct:.1f}% overridden (BARD-E), "
+          f"{bard.cleanse_pct:.1f}% cleansed (BARD-C)")
 
 
 if __name__ == "__main__":

@@ -31,9 +31,8 @@ def main() -> None:
     for wl in WORKLOADS:
         for self_reset, name in ((True, "self-reset"), (False, "frozen")):
             r = run(wl, self_reset)
-            acc = r.bard_accuracy
-            pct = 100 * acc.error_rate if acc.checked else 0.0
-            print(f"{wl:<8} {name:<12} {acc.checked:>9} {pct:>11.1f} "
+            print(f"{wl:<8} {name:<12} {r.bard_accuracy.checked:>9} "
+                  f"{r.tracker_error_pct:>11.1f} "
                   f"{r.write_blp:>6.1f}   IPC={r.mean_ipc:.3f}")
         print()
     print("paper: ~30.3% of decisions are imprecise; the self-reset is what"

@@ -1,4 +1,4 @@
-"""Analysis helpers: metrics, bandwidth model, reports, tables."""
+"""Analysis helpers: metrics, bandwidth model, tables."""
 
 from repro.analysis.bandwidth import (
     SERVER_SCALE,
@@ -13,14 +13,8 @@ from repro.analysis.banks import (
     read_distribution,
     write_distribution,
 )
-from repro.analysis.figures import (
-    read_figure_csv,
-    series_to_csv,
-    write_figure_csv,
-)
-from repro.analysis.metrics import amean, gmean, normalize, pct_change
-from repro.analysis.report import characterization_report, comparison_report
-from repro.analysis.tables import format_series, format_table
+from repro.analysis.metrics import amean, gmean
+from repro.analysis.tables import format_table
 
 __all__ = [
     "BandwidthReport",
@@ -33,14 +27,6 @@ __all__ = [
     "WRITEBACK_BYTES",
     "amean",
     "bandwidth_report",
-    "characterization_report",
-    "comparison_report",
-    "format_series",
     "format_table",
     "gmean",
-    "normalize",
-    "pct_change",
-    "read_figure_csv",
-    "series_to_csv",
-    "write_figure_csv",
 ]

@@ -114,13 +114,13 @@ def shares(result: RunResult) -> Tuple[float, float, float]:
     s = result.wb_stats
     total = max(1, s.victim_selections)
     return (100.0 * (total - s.overrides - s.cleanses) / total,
-            100.0 * s.overrides / total, 100.0 * s.cleanses / total)
+            result.override_pct, result.cleanse_pct)
 
 
 def incorrect_pct(rs: ResultSet) -> float:
     """BARD decisions whose bank had no pending write, %: mean of the
     workloads with checked decisions (Sec. VII-I)."""
-    return amean(100.0 * r.bard_accuracy.error_rate for r in rs.results()
+    return amean(r.tracker_error_pct for r in rs.results()
                  if r.bard_accuracy.checked > 0)
 
 

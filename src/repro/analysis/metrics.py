@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Sequence
+from typing import Iterable, List
 
 
 def gmean(values: Iterable[float]) -> float:
@@ -20,17 +20,3 @@ def amean(values: Iterable[float]) -> float:
     """Arithmetic mean (0.0 for an empty sequence)."""
     vals = [float(v) for v in values]
     return sum(vals) / len(vals) if vals else 0.0
-
-
-def pct_change(new: float, old: float) -> float:
-    """Percentage change from ``old`` to ``new``."""
-    if old == 0:
-        return 0.0
-    return 100.0 * (new - old) / old
-
-
-def normalize(values: Sequence[float], reference: float) -> List[float]:
-    """Each value divided by ``reference``."""
-    if reference == 0:
-        raise ValueError("cannot normalise by zero")
-    return [v / reference for v in values]

@@ -1,12 +1,12 @@
-"""Plain-text table/series formatting for the benchmark harness.
+"""Plain-text tables for the CLI and the benchmark harness.
 
-The benchmarks print the same rows and series the paper reports; these
-helpers keep that output consistent and readable.
+The benchmarks print the same rows the paper reports; these helpers keep
+that output consistent and readable.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Mapping, Sequence
 
 
 def format_table(
@@ -36,8 +36,12 @@ def format_table(
     return "\n".join(lines)
 
 
-def format_series(name: str, labels: Sequence[str],
-                  values: Sequence[float]) -> str:
-    """One figure series as ``name: label=value ...``."""
-    pairs = " ".join(f"{l}={v:.2f}" for l, v in zip(labels, values))
-    return f"{name}: {pairs}"
+def format_records(records: Sequence[Mapping[str, object]],
+                   metrics: Sequence[str], title: str | None = None) -> str:
+    """Result records as a table: their coordinates, then ``metrics``
+    (3 decimals).  ``run_key`` is left out."""
+    axes = [k for k in records[0] if k not in metrics
+            and k != "run_key"] if records else []
+    rows = [tuple(r[name] for name in axes)
+            + tuple(f"{r[m]:.3f}" for m in metrics) for r in records]
+    return format_table(axes + list(metrics), rows, title=title)

@@ -3,12 +3,13 @@
 Commands
 --------
 
-``run``            one workload under one configuration, print metrics
-``compare``        one workload under several writeback policies
-``characterize``   Table IV-style characterization of several workloads
+``run``            one workload under one configuration, print its
+                   Table IV metrics and IPC
 ``sweep``          grid sweep over arbitrary axes (workloads x policies
-                   x seeds x any registered config axis); ``--adaptive``
-                   orchestrates the grid budget-aware (docs/adaptive.md)
+                   x seeds x any registered config axis); ``--metrics``
+                   picks the columns, ``--speedup-vs`` adds speedups,
+                   ``--adaptive`` orchestrates the grid budget-aware
+                   (docs/adaptive.md)
 ``list``           available workloads, policies, presets, and axes
 ``serve``          run the long-running experiment service (HTTP API)
 ``submit``         submit a grid to a running service and fetch results
@@ -31,8 +32,11 @@ content-addressed cache.
 Examples::
 
     python -m repro run lbm --policy bard-h
-    python -m repro compare lbm --policies baseline bard-e bard-c bard-h
-    python -m repro characterize lbm copy cf whiskey --parallel 4
+    python -m repro sweep --workloads lbm \\
+        --axis policy=baseline,bard-e,bard-c,bard-h --speedup-vs policy \\
+        --metrics speedup_pct write_blp override_pct cleanse_pct
+    python -m repro sweep --workloads lbm copy cf whiskey --parallel 4 \\
+        --metrics mpki wpki write_blp time_writing_pct
     python -m repro sweep --workloads lbm copy --axis wq=32,48,64 \\
         --axis policy=baseline,bard-h --speedup-vs policy
     python -m repro sweep --workloads lbm copy --sample 4 \\
@@ -56,16 +60,16 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro import telemetry
-from repro.analysis.report import characterization_report, \
-    comparison_report, sampling_note
-from repro.analysis.tables import format_table
+from repro.analysis.report import sampling_note
+from repro.analysis.tables import format_records, format_table
 from repro.config.presets import PRESETS as _PRESETS
 from repro.config.system import SystemConfig
 from repro.errors import ConfigError
 from repro.experiment import AXIS_MODIFIERS, Axis, ExperimentSpec, \
     ResultSet, RunSpec, Session, SessionInterrupted, make_axis
 from repro.experiment.cache import default_cache_dir
-from repro.experiment.resultset import RELATIVE_METRICS, valid_metric
+from repro.experiment.resultset import DEFAULT_METRICS, \
+    RELATIVE_METRICS, valid_metric
 from repro.experiment.spec import BASELINE, INHERIT, policy_arg
 from repro.sampling import SamplingConfig
 from repro.service.queue import STATES as JOB_STATES
@@ -320,53 +324,11 @@ def _cmd_run(args) -> int:
     if args.json:
         _emit_json(rs, session)
         return 0
-    result = rs.only().result
-    print(characterization_report([(args.workload, result)],
-                                  title=f"run: {args.workload} "
-                                        f"({args.policy})"))
-    note = sampling_note(result)
+    print(format_records(rs.to_records(), DEFAULT_METRICS,
+                         title=f"run: {args.workload} ({args.policy})"))
+    note = sampling_note(rs.only().result)
     if note:
         print(note)
-    return 0
-
-
-def _cmd_compare(args) -> int:
-    cfg = _build_config(args)
-    policies = [policy_arg(p) for p in args.policies]
-    if policies[0] is not None:
-        policies.insert(0, None)
-    # ExperimentSpec dedupes repeated policies (e.g. `--policies bard-h
-    # baseline`), so the baseline simulates exactly once.
-    spec = ExperimentSpec(workloads=args.workload, configs=cfg,
-                          policies=policies, seeds=args.seed,
-                          name=f"compare:{args.workload}")
-    session = _session(args)
-    rs = session.run(spec, progress=_progress_fn(args))
-    if args.json:
-        _emit_json(rs, session)
-        return 0
-    base = rs.filter(policy=BASELINE).only().result
-    for obs in rs:
-        if obs.coords["policy"] == BASELINE:
-            continue
-        named = replace(obs.result, label=str(obs.coords["policy"]))
-        print(comparison_report(replace(base, label=BASELINE), named,
-                                workload=args.workload))
-        print()
-    return 0
-
-
-def _cmd_characterize(args) -> int:
-    cfg = _build_config(args)
-    spec = ExperimentSpec(workloads=args.workloads, configs=cfg,
-                          seeds=args.seed, name="characterize")
-    session = _session(args)
-    rs = session.run(spec, progress=_progress_fn(args))
-    if args.json:
-        _emit_json(rs, session)
-        return 0
-    results = [(str(obs.coords["workload"]), obs.result) for obs in rs]
-    print(characterization_report(results))
     return 0
 
 
@@ -445,17 +407,19 @@ def _cmd_sweep(args) -> int:
     if args.json:
         _emit_json(rs, session, metrics, adaptive=report)
         return 0
-    axis_names = list(rs[0].coords) if len(rs) else []
-    rows = [
-        tuple(record[name] for name in axis_names)
-        + tuple(f"{record[m]:.3f}" for m in metrics)
-        for record in rs.to_records(metrics)
-    ]
-    print(format_table(axis_names + metrics, rows,
-                       title=f"sweep ({len(rs)} points)"))
+    print(format_records(rs.to_records(metrics), metrics,
+                         title=f"sweep ({len(rs)} points)"))
     if report is not None:
         _render_adaptive(report)
     return 0
+
+
+def _require_positive(*flags) -> None:
+    """Reject a ``(flag, value)`` whose value is not above 0, before a
+    service starts or a grid is submitted."""
+    for flag, value in flags:
+        if not value > 0:
+            raise ConfigError(f"{flag} must be positive (got {value})")
 
 
 def _cmd_serve(args) -> int:
@@ -467,8 +431,11 @@ def _cmd_serve(args) -> int:
         else default_cache_dir() / "service"
     from repro.resilience import RetryPolicy
 
-    if args.max_attempts <= 0:
-        raise ConfigError("--max-attempts must be positive")
+    _require_positive(("--max-group", args.max_group),
+                      ("--max-attempts", args.max_attempts),
+                      ("--max-pending-per-tenant",
+                       args.max_pending_per_tenant),
+                      ("--max-pending-total", args.max_pending_total))
     config = ServiceConfig(
         state_dir=state_dir,
         store_dir=Path(args.cache_dir) if args.cache_dir else None,
@@ -479,8 +446,6 @@ def _cmd_serve(args) -> int:
         retry=RetryPolicy(max_attempts=args.max_attempts),
         job_timeout=args.job_timeout if args.job_timeout > 0 else None,
     )
-    if args.max_group <= 0:
-        raise ConfigError("--max-group must be positive")
     if getattr(args, "telemetry", False):
         telemetry.enable()
     service = ExperimentService(config)
@@ -506,16 +471,21 @@ def _cmd_serve(args) -> int:
         server = make_server(service, host=args.host, port=args.port,
                              quiet=not args.verbose)
         host, port = server.server_address[:2]
-        # The listen banner is a machine-readable contract (tests and
-        # tooling parse the URL from stdout, e.g. with --port 0); it
-        # must stay a flushed stdout print, not a log record on stderr.
-        print(f"repro service listening on http://{host}:{port} "
-              f"({config.shards} worker shards, state in {state_dir}, "
-              f"store in {service.store.directory})", flush=True)
-        _log.debug("service listening",
-                   extra={"event": "serve.listening", "host": str(host),
-                          "port": int(port), "shards": config.shards})
+        # Inside the try: a SIGTERM sent as soon as the banner is read
+        # must stop the service like one sent while it serves.
         try:
+            # The listen banner is a machine-readable contract (tests
+            # and tooling parse the URL from stdout, e.g. with --port
+            # 0); it must stay a flushed stdout print, not a log record
+            # on stderr.
+            print(f"repro service listening on http://{host}:{port} "
+                  f"({config.shards} worker shards, state in "
+                  f"{state_dir}, store in {service.store.directory})",
+                  flush=True)
+            _log.debug("service listening",
+                       extra={"event": "serve.listening",
+                              "host": str(host), "port": int(port),
+                              "shards": config.shards})
             server.serve_forever()
         except KeyboardInterrupt:
             _log.info("shutting down (queue state is durable; restart "
@@ -534,6 +504,7 @@ def _cmd_submit(args) -> int:
     from repro.service import Backpressure, ResultNotReady, \
         ServiceClient, ServiceError
 
+    _require_positive(("--poll", args.poll), ("--timeout", args.timeout))
     spec = _grid_spec(args, "submit")
     metrics = list(args.metrics)
     for name in metrics:
@@ -584,15 +555,10 @@ def _cmd_submit(args) -> int:
         print(json.dumps(result, indent=2))
         return 0
     records = result["records"]
-    axis_names = [k for k in records[0] if k not in metrics
-                  and k != "run_key"] if records else []
-    rows = [tuple(r[name] for name in axis_names)
-            + tuple(f"{r[m]:.3f}" for m in metrics)
-            for r in records]
-    print(format_table(axis_names + metrics, rows,
-                       title=f"grid {result['grid_id']} "
-                             f"({len(records)} points via "
-                             f"{args.server})"))
+    print(format_records(records, metrics,
+                         title=f"grid {result['grid_id']} "
+                               f"({len(records)} points via "
+                               f"{args.server})"))
     stats = result["stats"]
     print(f"admission: {stats['new_jobs']} new, "
           f"{stats['store_hits']} store hits, "
@@ -759,19 +725,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--refresh", action="store_true")
     _add_common(p_run)
     p_run.set_defaults(fn=_cmd_run)
-
-    p_cmp = sub.add_parser("compare", help="compare writeback policies")
-    p_cmp.add_argument("workload", choices=ALL_WORKLOADS)
-    p_cmp.add_argument("--policies", nargs="+", choices=_POLICY_CHOICES,
-                       default=["baseline", "bard-h"])
-    _add_common(p_cmp)
-    p_cmp.set_defaults(fn=_cmd_compare)
-
-    p_chr = sub.add_parser("characterize",
-                           help="Table IV-style characterization")
-    p_chr.add_argument("workloads", nargs="+", choices=ALL_WORKLOADS)
-    _add_common(p_chr)
-    p_chr.set_defaults(fn=_cmd_characterize)
 
     p_sw = sub.add_parser("sweep",
                           help="grid sweep over arbitrary axes")

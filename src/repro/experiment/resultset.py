@@ -5,7 +5,7 @@ point - its coordinates, run spec, and measured
 :class:`~repro.sim.results.RunResult` - and supports the aggregation
 vocabulary of the paper's figures and tables: ``filter`` by coordinate,
 ``group_by`` an axis, ``speedup_vs`` a baseline along an axis, geometric
-means, and export to records/JSON.  A whole figure becomes one
+means, and export to flat records.  A whole figure becomes one
 expression, e.g.::
 
     rs.speedup_vs("policy").filter(policy="bard-h").gmean_speedup_pct()
@@ -13,10 +13,8 @@ expression, e.g.::
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
-from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, \
     Optional, Sequence, Tuple, Union
 
@@ -24,7 +22,7 @@ from repro.analysis.metrics import amean, gmean
 from repro.experiment.spec import BASELINE, GridPoint, RunSpec
 from repro.sim.results import RunResult
 
-#: Metrics exported by default from ``to_records``/``to_json``.
+#: Metrics exported by default from ``to_records``.
 DEFAULT_METRICS: Tuple[str, ...] = (
     "mean_ipc", "mpki", "wpki", "write_blp", "time_writing_pct",
 )
@@ -296,14 +294,6 @@ class ResultSet:
         """
         return self.only().ci(metric)
 
-    def error_bars(self, metric: str) -> List[float]:
-        """Per-observation CI half-widths (0.0 for unsampled runs).
-
-        Aligned with :meth:`metric` - ready to feed the ``errors``
-        argument of :func:`repro.analysis.figures.series_to_csv`.
-        """
-        return [obs.error_bar(metric) for obs in self.observations]
-
     # -- export --------------------------------------------------------
 
     def to_records(self, metrics: Sequence[str] = ()) \
@@ -318,15 +308,6 @@ class ResultSet:
                 record[name] = obs.value(name)
             records.append(record)
         return records
-
-    def to_json(self, path: Optional[Union[str, Path]] = None,
-                metrics: Sequence[str] = ()) -> str:
-        """JSON form of :meth:`to_records`; also written to ``path`` if
-        given.  Returns the serialised text either way."""
-        text = json.dumps(self.to_records(metrics), indent=2)
-        if path is not None:
-            Path(path).write_text(text + "\n")
-        return text
 
     def results(self) -> List[RunResult]:
         """The raw :class:`RunResult` objects, in observation order."""

@@ -103,6 +103,34 @@ class RunResult:
     def mean_ipc(self) -> float:
         return sum(self.ipc) / len(self.ipc) if self.ipc else 0.0
 
+    # -- writeback decisions (Fig. 10 bottom, Sec. VII-I) ---------------
+
+    @property
+    def override_pct(self) -> float:
+        """BARD-E overrides as % of LLC victim selections (0.0 when the
+        policy keeps no decision counters)."""
+        s = self.wb_stats
+        if s is None:
+            return 0.0
+        return 100.0 * s.overrides / max(1, s.victim_selections)
+
+    @property
+    def cleanse_pct(self) -> float:
+        """BARD-C cleanses as % of LLC victim selections (0.0 when the
+        policy keeps no decision counters)."""
+        s = self.wb_stats
+        if s is None:
+            return 0.0
+        return 100.0 * s.cleanses / max(1, s.victim_selections)
+
+    @property
+    def tracker_error_pct(self) -> float:
+        """BARD decisions aimed at a bank with no pending write, % of
+        those checked (0.0 for a non-BARD policy)."""
+        if self.bard_accuracy is None:
+            return 0.0
+        return 100.0 * self.bard_accuracy.error_rate
+
     # -- MSHR pipeline pressure (LLC view; docs/architecture.md) -------
 
     @property

@@ -248,11 +248,11 @@ class TestLocalOrchestration:
         assert all(c.intervals is None for c in escalated)
         assert all(c.stop == "escalated" for c in escalated)
         assert report.escalations == len(escalated)
-        # Mixed grid degrades gracefully (satellite: ci/error_bars).
+        # Mixed grid degrades gracefully (ci/error_bar).
         for obs in rs:
             lo, hi = obs.ci("mean_ipc")
             assert lo <= obs.value("mean_ipc") <= hi or lo <= hi
-        bars = rs.error_bars("mean_ipc")
+        bars = [obs.error_bar("mean_ipc") for obs in rs]
         assert any(b == 0.0 for b in bars)  # the full-detail cells
 
     def test_escalation_stop_accepts_residual_ci(self):
@@ -307,7 +307,13 @@ class TestLocalOrchestration:
 
 class TestMixedGridReporting:
     def test_comparison_report_mixes_full_and_sampled(self):
-        from repro.analysis.report import comparison_report
+        """A full and a sampled run print side by side in one record
+        table; only the sampled one carries a sampling note."""
+        from repro.analysis.report import sampling_note
+        from repro.analysis.tables import format_records
+        from repro.experiment.resultset import DEFAULT_METRICS, \
+            Observation, ResultSet
+        from repro.experiment.spec import RunSpec
         from repro.sim.system import System
         from repro.workloads.suites import trace_factory
 
@@ -318,10 +324,17 @@ class TestMixedGridReporting:
         sampled = System(sampled_cfg,
                          trace_factory("copy", sampled_cfg,
                                        seed=7)).run()
-        text = comparison_report(full, sampled, workload="copy")
-        assert "±" in text  # the sampled side still shows its CI
-        text = comparison_report(sampled, full, workload="copy")
-        assert "copy" in text
+        rs = ResultSet(
+            Observation(coords={"workload": "copy", "run": name},
+                        spec=RunSpec(workload="copy", config=cfg),
+                        result=result)
+            for name, cfg, result in (("full", full_cfg, full),
+                                      ("sampled", sampled_cfg, sampled)))
+        text = format_records(rs.to_records(), DEFAULT_METRICS)
+        rows = text.splitlines()[2:]
+        assert [row.split()[1] for row in rows] == ["full", "sampled"]
+        assert sampling_note(full) is None
+        assert "sampled" in sampling_note(sampled)
 
 
 def _service(tmp_path, **overrides):

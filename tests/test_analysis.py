@@ -2,14 +2,8 @@
 
 import pytest
 
-from repro.analysis import (
-    amean,
-    format_series,
-    format_table,
-    gmean,
-    normalize,
-    pct_change,
-)
+from repro.analysis import amean, format_table, gmean
+from repro.analysis.tables import format_records
 
 
 class TestGmean:
@@ -36,16 +30,6 @@ class TestSimpleMetrics:
         assert amean([1, 2, 3]) == 2
         assert amean([]) == 0.0
 
-    def test_pct_change(self):
-        assert pct_change(110, 100) == pytest.approx(10)
-        assert pct_change(90, 100) == pytest.approx(-10)
-        assert pct_change(5, 0) == 0.0
-
-    def test_normalize(self):
-        assert normalize([2, 4], 2) == [1, 2]
-        with pytest.raises(ValueError):
-            normalize([1], 0)
-
 
 class TestFormatting:
     def test_table_contains_cells(self):
@@ -59,6 +43,16 @@ class TestFormatting:
         header, rule, row = out.splitlines()
         assert len(rule) >= len("xxxxxxxx")
 
-    def test_series(self):
-        out = format_series("speedup", ["lbm", "cf"], [4.3, 2.0])
-        assert out == "speedup: lbm=4.30 cf=2.00"
+    def test_records_table(self):
+        records = [{"workload": "lbm", "policy": "bard-h", "run_key": "k",
+                    "mean_ipc": 0.5, "speedup_pct": 4.25}]
+        out = format_records(records, ["mean_ipc", "speedup_pct"],
+                             title="t")
+        title, header, rule, row = out.splitlines()
+        assert header.split() == ["workload", "policy", "mean_ipc",
+                                  "speedup_pct"]
+        assert row.split() == ["lbm", "bard-h", "0.500", "4.250"]
+
+    def test_records_table_empty(self):
+        assert format_records([], ["mean_ipc"]).splitlines()[0].strip() \
+            == "mean_ipc"

@@ -29,9 +29,22 @@ class TestParser:
             build_parser().parse_args(["run", "doom3"])
 
     def test_compare_policies(self):
+        """Policies are compared along a sweep's ``policy`` axis."""
         args = build_parser().parse_args(
-            ["compare", "copy", "--policies", "baseline", "bard-h"])
-        assert args.policies == ["baseline", "bard-h"]
+            ["sweep", "--workloads", "copy",
+             "--axis", "policy=baseline,bard-h", "--speedup-vs", "policy"])
+        assert args.axis == ["policy=baseline,bard-h"]
+        assert args.speedup_vs == "policy"
+
+    @pytest.mark.parametrize("command", ["compare", "characterize"])
+    def test_removed_subcommands_exit_2(self, command, capsys):
+        """``sweep`` is the one local grid command: ``compare`` is a
+        ``--axis policy=...`` sweep, ``characterize`` one that prints
+        the Table IV metrics."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, "copy"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_sweep_wq_is_gone(self):
         """Fig. 17 is a scorecard exhibit; ad-hoc queue sweeps use
@@ -76,15 +89,111 @@ class TestCommands:
     def test_run(self, capsys):
         assert main(["run", "copy", "--policy", "bard-h"]) == 0
         out = capsys.readouterr().out
-        assert "copy" in out and "WBLP" in out
+        assert "copy" in out and "write_blp" in out
+        assert "mpki" in out and "wpki" in out and "mean_ipc" in out
 
     def test_compare(self, capsys):
-        assert main(["compare", "copy", "--policies", "baseline",
-                     "bard-h"]) == 0
+        assert main(["sweep", "--workloads", "copy",
+                     "--axis", "policy=baseline,bard-h",
+                     "--speedup-vs", "policy"]) == 0
         out = capsys.readouterr().out
-        assert "weighted speedup" in out
+        assert "speedup_pct" in out and "bard-h" in out
 
     def test_characterize(self, capsys):
-        assert main(["characterize", "copy", "whiskey"]) == 0
+        assert main(["sweep", "--workloads", "copy", "whiskey",
+                     "--metrics", "mpki", "wpki", "write_blp",
+                     "time_writing_pct"]) == 0
         out = capsys.readouterr().out
         assert "whiskey" in out
+        assert "mpki" in out and "time_writing_pct" in out
+
+    def test_sweep_prints_decision_shares(self, capsys):
+        assert main(["sweep", "--workloads", "lbm",
+                     "--axis", "policy=baseline,bard-h",
+                     "--metrics", "override_pct", "cleanse_pct",
+                     "tracker_error_pct"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = lines[1].split()
+        assert header[-3:] == ["override_pct", "cleanse_pct",
+                               "tracker_error_pct"]
+        rows = {line.split()[header.index("policy")]: line.split()
+                for line in lines[3:]}
+        assert rows["baseline"][-3:] == ["0.000"] * 3
+        assert float(rows["bard-h"][-2]) > 0  # lbm writes back
+
+
+class TestServiceBounds:
+    """Out-of-range service numbers exit 2 before a service starts or
+    a grid is submitted."""
+
+    @pytest.mark.parametrize("flag", [
+        "--max-pending-per-tenant", "--max-pending-total", "--max-group",
+        "--max-attempts"])
+    def test_serve_rejects_bound_below_one(self, flag, tmp_path,
+                                            monkeypatch, capsys):
+        import repro.service as service
+
+        def never(*args, **kwargs):
+            raise AssertionError("service started")
+
+        monkeypatch.setattr(service, "ExperimentService", never)
+        assert main(["serve", "--port", "0", "--state-dir",
+                     str(tmp_path), flag, "0"]) == 2
+        assert f"{flag} must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--poll", "-1"), ("--poll", "0"), ("--timeout", "0")])
+    def test_submit_rejects_nonpositive_wait(self, flag, value,
+                                             monkeypatch, capsys):
+        from repro.service import ServiceClient
+
+        def never(*args, **kwargs):
+            raise AssertionError("grid submitted")
+
+        monkeypatch.setattr(ServiceClient, "submit", never)
+        assert main(["submit", "--server", "http://127.0.0.1:9",
+                     "--workloads", "copy", flag, value]) == 2
+        assert f"{flag} must be positive" in capsys.readouterr().err
+
+
+class TestServeShutdown:
+    def test_sigterm_right_after_the_banner_stops_cleanly(
+            self, tmp_path, monkeypatch, capsys):
+        """The SIGTERM handler raises KeyboardInterrupt wherever the
+        main thread is; once the banner is out, that is a clean stop
+        (exit 0, service stopped), not an uncaught interrupt."""
+        import repro.cli as cli
+        import repro.service as service
+
+        stopped = []
+
+        class FakeService:
+            def __init__(self, config):
+                self.store = type("Store", (), {"directory": tmp_path})
+
+            def start(self):
+                pass
+
+            def stop(self):
+                stopped.append(True)
+
+        class FakeServer:
+            server_address = ("127.0.0.1", 1)
+
+            def serve_forever(self):
+                raise AssertionError("the interrupt came first")
+
+            def server_close(self):
+                pass
+
+        def sigterm(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(service, "ExperimentService", FakeService)
+        monkeypatch.setattr(service, "make_server",
+                            lambda *args, **kwargs: FakeServer())
+        monkeypatch.setattr(cli._log, "debug", sigterm)
+        assert main(["serve", "--port", "0",
+                     "--state-dir", str(tmp_path)]) == 0
+        assert stopped == [True]
+        assert "listening" in capsys.readouterr().out

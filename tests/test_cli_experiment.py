@@ -134,13 +134,15 @@ class TestCacheAndParallel:
         assert len(counted) == 1
 
     def test_compare_dedupes_listed_baseline(self, capsys, counted):
-        assert main(["compare", "copy", "--policies", "bard-h",
-                     "baseline", "--no-cache"]) == 0
+        assert main(["sweep", "--workloads", "copy",
+                     "--axis", "policy=baseline,bard-h,baseline",
+                     "--speedup-vs", "policy", "--no-cache"]) == 0
         assert len(counted) == 2
-        assert capsys.readouterr().out.count("weighted speedup") == 1
+        rows = capsys.readouterr().out.splitlines()[3:]
+        assert len(rows) == 1 and "bard-h" in rows[0]
 
     def test_parallel_flag(self, capsys):
-        assert main(["characterize", "copy", "whiskey",
+        assert main(["sweep", "--workloads", "copy", "whiskey",
                      "--parallel", "2", "--no-cache"]) == 0
         assert "whiskey" in capsys.readouterr().out
 

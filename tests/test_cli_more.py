@@ -1,5 +1,7 @@
 """CLI: remaining commands and option plumbing."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -26,16 +28,20 @@ class TestOptionPlumbing:
     def test_seed_option(self, capsys):
         assert main(["run", "copy", "--seed", "3"]) == 0
 
-    def test_compare_adds_baseline_when_missing(self, capsys):
-        assert main(["compare", "copy", "--policies", "bard-h"]) == 0
-        out = capsys.readouterr().out
-        assert "weighted speedup" in out
+    def test_speedup_vs_needs_the_baseline_listed(self, capsys):
+        # a sweep adds no policy of its own: the baseline is named
+        assert main(["sweep", "--workloads", "copy",
+                     "--axis", "policy=bard-h",
+                     "--speedup-vs", "policy"]) == 2
+        assert "baseline" in capsys.readouterr().err
 
     def test_compare_eager_and_vwq(self, capsys):
-        assert main(["compare", "copy", "--policies", "baseline",
-                     "eager", "vwq"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("weighted speedup") == 2
+        assert main(["sweep", "--workloads", "copy",
+                     "--axis", "policy=baseline,eager,vwq",
+                     "--speedup-vs", "policy", "--json"]) == 0
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert [r["policy"] for r in records] == ["eager", "vwq"]
+        assert all("speedup_pct" in r for r in records)
 
 
 class TestSamplingFlags:
@@ -55,11 +61,12 @@ class TestSamplingFlags:
         assert "2 x 400" in out
 
     def test_compare_with_sampling(self, capsys):
-        assert main(["compare", "copy", "--policies", "bard-h",
+        assert main(["sweep", "--workloads", "copy",
+                     "--axis", "policy=baseline,bard-h",
+                     "--speedup-vs", "policy",
                      "--sample", "2", "--sample-interval", "300"]) == 0
         out = capsys.readouterr().out
-        assert "weighted speedup" in out
-        assert "±" in out
+        assert "speedup_pct" in out and "bard-h" in out
 
     def test_sweep_with_sampling(self, capsys):
         assert main(["sweep", "--workloads", "copy",
@@ -132,7 +139,3 @@ class TestParserValidation:
         with pytest.raises(SystemExit):
             build_parser().parse_args(
                 ["run", "lbm", "--replacement", "belady"])
-
-    def test_characterize_requires_workload(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["characterize"])

@@ -1,5 +1,5 @@
 """Extension features: refresh model, drain-policy ablation, frozen
-tracker, and the bandwidth/report analysis helpers."""
+tracker, the bandwidth helper and the record table."""
 
 import pytest
 
@@ -8,14 +8,15 @@ from repro.analysis.bandwidth import (
     WRITEBACK_BYTES,
     bandwidth_report,
 )
-from repro.analysis.report import characterization_report, comparison_report
+from repro.analysis.tables import format_records
 from repro.core.blp_tracker import BANKS_PER_SUBCHANNEL, BLPTracker
 from repro.dram.commands import MemRequest, Op
 from repro.dram.mapping import ZenMapping
 from repro.dram.subchannel import SubChannel
 from repro.dram.timing import ddr5_4800_x4
 from repro.errors import ConfigError
-from repro.experiment import Session
+from repro.experiment import ExperimentSpec, Session
+from repro.experiment.resultset import DEFAULT_METRICS
 
 from .conftest import tiny_config
 
@@ -117,17 +118,21 @@ class TestBandwidthReport:
 
 class TestReports:
     def test_comparison_report_contents(self):
-        base = Session(cache=False).run_one(
-            tiny_config(), "copy", label="baseline")
-        bard = Session(cache=False).run_one(
-            tiny_config(llc_writeback="bard-h"), "copy", label="bard-h")
-        text = comparison_report(base, bard, workload="copy")
-        assert "write BLP" in text
-        assert "weighted speedup" in text
-        assert "decisions" in text
-        assert "sync bandwidth" in text
+        """What ``sweep --axis policy=baseline,bard-h --speedup-vs
+        policy`` prints: one row per compared policy."""
+        rs = Session(cache=False).run(ExperimentSpec(
+            workloads="copy", configs=tiny_config(),
+            policies=["baseline", "bard-h"]))
+        metrics = ["write_blp", "speedup_pct", "override_pct",
+                   "cleanse_pct"]
+        text = format_records(rs.speedup_vs("policy").to_records(metrics),
+                              metrics, title="copy")
+        title, header, _, row = text.splitlines()
+        assert header.split()[-4:] == metrics
+        assert "bard-h" in row and "run_key" not in header
 
     def test_characterization_report(self):
-        r = Session(cache=False).run_one(tiny_config(), "copy")
-        text = characterization_report([("copy", r)])
-        assert "copy" in text and "WBLP" in text
+        rs = Session(cache=False).run(ExperimentSpec(
+            workloads="copy", configs=tiny_config()))
+        text = format_records(rs.to_records(), DEFAULT_METRICS)
+        assert "copy" in text and "write_blp" in text

@@ -229,3 +229,27 @@ def test_bard_e_golden_takes_overrides():
     stats = GOLDEN["bard_e_override"]["stats"]
     assert stats["wb.overrides"] > 0
     assert stats["wb.cleanses"] == 0
+
+
+@pytest.mark.parametrize("name", ["bard_e_override", "bard_write_drain",
+                                  "write_stream"])
+def test_decision_shares_read_the_golden_counters(name):
+    """``RunResult``'s decision shares are the ones the claims ledger
+    scores (Fig. 10 bottom, Sec. VII-I); a run without a writeback
+    policy reports 0.0 for each."""
+    from repro.analysis.claims import shares
+
+    _, result = run_golden(name)
+    stats = GOLDEN[name]["stats"]
+    if "wb.victim_selections" not in stats:
+        assert result.wb_stats is None and result.bard_accuracy is None
+        assert (result.override_pct, result.cleanse_pct,
+                result.tracker_error_pct) == (0.0, 0.0, 0.0)
+        return
+    selections = max(1, stats["wb.victim_selections"])
+    assert shares(result)[1:] == (result.override_pct, result.cleanse_pct)
+    assert result.override_pct == 100.0 * stats["wb.overrides"] / selections
+    assert result.cleanse_pct == 100.0 * stats["wb.cleanses"] / selections
+    assert result.tracker_error_pct == \
+        100.0 * (stats["tracker.incorrect"] / stats["tracker.checked"])
+    assert result.override_pct + result.cleanse_pct > 0

@@ -1,8 +1,8 @@
-"""Reports across all policy types (EW/VWQ also expose wb_stats)."""
+"""What a run reports under every policy type: speedups and the
+writeback-decision shares (EW/VWQ also expose wb_stats)."""
 
 import pytest
 
-from repro.analysis.report import comparison_report
 from repro.experiment import Session
 
 from .conftest import tiny_config
@@ -17,28 +17,31 @@ class TestReportsForPriorWork:
     def test_eager_report(self, base):
         ew = Session(cache=False).run_one(
             tiny_config(llc_writeback="eager"), "lbm", label="eager")
-        text = comparison_report(base, ew, workload="lbm")
-        assert "eager" in text
-        assert "decisions" in text  # EW has wb_stats too
+        s = ew.wb_stats  # EW has wb_stats too
+        assert s is not None and s.victim_selections > 0
+        assert ew.override_pct == \
+            100.0 * s.overrides / s.victim_selections
+        assert ew.cleanse_pct == 100.0 * s.cleanses / s.victim_selections
 
     def test_vwq_report(self, base):
         vwq = Session(cache=False).run_one(
             tiny_config(llc_writeback="vwq"), "lbm", label="vwq")
-        text = comparison_report(base, vwq, workload="lbm")
-        assert "vwq" in text
+        assert vwq.wb_stats is not None
+        assert 0.0 <= vwq.override_pct + vwq.cleanse_pct <= 100.0
 
     def test_baseline_vs_baseline_zero_speedup(self, base):
-        text = comparison_report(base, base, workload="lbm")
-        assert "+0.00%" in text
+        assert base.speedup_pct(base) == 0.0
+        assert (base.override_pct, base.cleanse_pct) == (0.0, 0.0)
 
     def test_no_accuracy_line_without_bard(self, base):
         ew = Session(cache=False).run_one(
             tiny_config(llc_writeback="eager"), "lbm", label="eager")
-        text = comparison_report(base, ew, workload="lbm")
-        assert "BLP-Tracker accuracy" not in text
+        assert ew.bard_accuracy is None
+        assert ew.tracker_error_pct == 0.0
 
     def test_accuracy_line_with_bard(self, base):
         bard = Session(cache=False).run_one(
             tiny_config(llc_writeback="bard-h"), "lbm", label="bard-h")
-        text = comparison_report(base, bard, workload="lbm")
-        assert "BLP-Tracker accuracy" in text
+        assert bard.bard_accuracy.checked > 0
+        assert bard.tracker_error_pct == \
+            100.0 * bard.bard_accuracy.error_rate

@@ -111,7 +111,7 @@ class TestInterruptSafety:
 
         monkeypatch.setitem(cli._PRESETS, "small-8core", tiny_config)
         _interrupt_after(monkeypatch, 1)
-        code = main(["characterize", "copy", "whiskey",
+        code = main(["sweep", "--workloads", "copy", "whiskey",
                      "--cache-dir", str(tmp_path)])
         assert code == 130
         err = capsys.readouterr().err
