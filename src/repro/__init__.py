@@ -26,7 +26,6 @@ from repro.config import (
     CacheConfig,
     DramConfig,
     SystemConfig,
-    default_config,
     paper_8core,
     paper_16core,
     small_8core,
@@ -83,7 +82,6 @@ __all__ = [
     "SystemConfig",
     "WORKLOADS",
     "__version__",
-    "default_config",
     "make_axis",
     "make_bard",
     "paper_8core",

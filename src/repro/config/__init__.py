@@ -2,7 +2,6 @@
 
 from repro.config.presets import (
     PRESETS,
-    default_config,
     paper_8core,
     paper_16core,
     small_8core,
@@ -15,7 +14,6 @@ __all__ = [
     "DramConfig",
     "PRESETS",
     "SystemConfig",
-    "default_config",
     "paper_8core",
     "paper_16core",
     "small_8core",

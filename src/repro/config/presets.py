@@ -13,7 +13,6 @@ on - scales with it.
 
 from __future__ import annotations
 
-import os
 from dataclasses import replace
 
 from repro.config.system import CacheConfig, DramConfig, SystemConfig
@@ -76,13 +75,6 @@ def small_16core() -> SystemConfig:
         llc=CacheConfig(256 * KB, 16, 36, 128),
         dram=replace(base.dram, channels=2),
     )
-
-
-def default_config() -> SystemConfig:
-    """Scale-aware default: ``REPRO_SCALE=paper`` selects Table II sizes."""
-    if os.environ.get("REPRO_SCALE", "").lower() == "paper":
-        return paper_8core()
-    return small_8core()
 
 
 #: Named preset registry - the single source of truth for every surface

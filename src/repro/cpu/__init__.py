@@ -7,9 +7,6 @@ from repro.cpu.trace import (
     NONMEM,
     STORE,
     TraceRecord,
-    mem_fraction,
-    replay,
-    store_fraction,
     take,
     validate_record,
 )
@@ -25,9 +22,6 @@ __all__ = [
     "TLBHierarchy",
     "TLBStats",
     "TraceRecord",
-    "mem_fraction",
-    "replay",
-    "store_fraction",
     "take",
     "validate_record",
 ]

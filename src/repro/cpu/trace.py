@@ -9,13 +9,14 @@ A trace is an iterator of ``(kind, addr, pc)`` tuples:
 
 Workload generators (:mod:`repro.workloads`) produce *infinite* traces; the
 core retires instructions until its budget is reached.  This module also
-provides small helpers to materialise, replay, and validate traces for
-tests and trace-file tooling.
+provides two small helpers, :func:`take` to materialise a prefix of a trace
+and :func:`validate_record` to check a record's shape; the tests use them
+to check generator output.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.errors import TraceError
 
@@ -50,29 +51,3 @@ def take(trace: Iterator[TraceRecord], n: int) -> List[TraceRecord]:
         except StopIteration:
             break
     return out
-
-
-def replay(records: Iterable[TraceRecord]) -> Iterator[TraceRecord]:
-    """Loop a finite record list forever (simple trace-file playback)."""
-    records = list(records)
-    if not records:
-        raise TraceError("cannot replay an empty trace")
-    while True:
-        yield from records
-
-
-def mem_fraction(records: Iterable[TraceRecord]) -> float:
-    """Fraction of records that touch memory (workload calibration aid)."""
-    records = list(records)
-    if not records:
-        return 0.0
-    mem = sum(1 for k, _, _ in records if k != NONMEM)
-    return mem / len(records)
-
-
-def store_fraction(records: Iterable[TraceRecord]) -> float:
-    """Fraction of memory records that are stores."""
-    records = [r for r in records if r[0] != NONMEM]
-    if not records:
-        return 0.0
-    return sum(1 for k, _, _ in records if k == STORE) / len(records)

@@ -3,7 +3,7 @@
 from typing import Optional
 
 from repro.errors import ConfigError
-from repro.prefetch.base import NullPrefetcher, Prefetcher, PrefetcherStats
+from repro.prefetch.base import Prefetcher, PrefetcherStats
 from repro.prefetch.berti import BertiPrefetcher
 from repro.prefetch.spp import SPPPrefetcher
 
@@ -22,7 +22,6 @@ def make_prefetcher(name: Optional[str]) -> Optional[Prefetcher]:
 
 __all__ = [
     "BertiPrefetcher",
-    "NullPrefetcher",
     "Prefetcher",
     "PrefetcherStats",
     "SPPPrefetcher",

@@ -44,12 +44,3 @@ class Prefetcher(abc.ABC):
         if targets:
             stats.issued += len(targets)
         return targets
-
-
-class NullPrefetcher(Prefetcher):
-    """No prefetching."""
-
-    name = "none"
-
-    def predict(self, addr: int, pc: int, hit: bool) -> List[int]:
-        return []

@@ -21,15 +21,15 @@ Performance notes (this is the innermost loop of every simulation):
   advanced once per distinct tick and every event sharing that tick is
   fired from a tight inner loop with the heap bound to a local.
 * Run termination uses the :meth:`stop` flag - a plain attribute test
-  per event - rather than calling a ``until()`` predicate before every
-  dispatch.  The predicate form is still supported for callers that
-  need it.
+  per event.  :meth:`run` is the one dispatch loop: a caller that needs
+  to halt at a condition schedules or makes the event that calls
+  :meth:`stop`.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from repro.errors import SimulationError
 
@@ -99,17 +99,13 @@ class Engine:
         fn(*args)
         return True
 
-    def run(
-        self,
-        until: Optional[Callable[[], bool]] = None,
-        max_events: int = 500_000_000,
-    ) -> None:
-        """Run events until stopped, ``until()`` is true, or the queue drains.
+    def run(self, max_events: int = 500_000_000) -> None:
+        """Run events until :meth:`stop` is called or the queue drains.
 
-        Without ``until`` this is the fast path: events are dispatched in
-        same-tick batches and only the :meth:`stop` flag is tested between
-        events.  With ``until`` the predicate is evaluated before every
-        event, exactly as the historical engine did.
+        Events are dispatched in same-tick batches and only the
+        :meth:`stop` flag is tested between events.  ``max_events``
+        bounds the dispatch count, so a self-rescheduling event storm
+        raises :class:`SimulationError` instead of spinning forever.
         """
         heap = self._heap
         pop = heapq.heappop
@@ -117,35 +113,21 @@ class Engine:
         limit = max_events
         self._stopped = False
         try:
-            if until is None:
-                while heap:
-                    tick = heap[0][0]
-                    self.now = tick
-                    # Same-tick batch: drain every event at `tick` without
-                    # touching the clock again.  Events scheduled *for this
-                    # tick* during the batch keep the batch alive (their
-                    # sequence numbers order them after the current event),
-                    # so the storm guard must run per event - a zero-delay
-                    # self-rescheduling loop never leaves this batch.
-                    while heap and heap[0][0] == tick:
-                        _, _, fn, args = pop(heap)
-                        fired += 1
-                        fn(*args)
-                        if self._stopped:
-                            return
-                        if fired > limit:
-                            raise SimulationError(
-                                f"exceeded max_events={max_events}; "
-                                "likely an event storm"
-                            )
-            else:
-                while heap:
-                    if self._stopped or until():
-                        return
-                    tick, _, fn, args = pop(heap)
-                    self.now = tick
+            while heap:
+                tick = heap[0][0]
+                self.now = tick
+                # Same-tick batch: drain every event at `tick` without
+                # touching the clock again.  Events scheduled *for this
+                # tick* during the batch keep the batch alive (their
+                # sequence numbers order them after the current event),
+                # so the storm guard must run per event - a zero-delay
+                # self-rescheduling loop never leaves this batch.
+                while heap and heap[0][0] == tick:
+                    _, _, fn, args = pop(heap)
                     fired += 1
                     fn(*args)
+                    if self._stopped:
+                        return
                     if fired > limit:
                         raise SimulationError(
                             f"exceeded max_events={max_events}; "
@@ -153,36 +135,3 @@ class Engine:
                         )
         finally:
             self.events_fired += fired
-
-    def run_for(self, ticks: int, max_events: int = 500_000_000) -> None:
-        """Run until simulated time advances by ``ticks``.
-
-        Honours the same run controls as :meth:`run`: a :meth:`stop`
-        call from inside an event halts at that event boundary (the
-        clock stays at the stopping event's tick), and ``max_events``
-        bounds the dispatch count so a zero-delay self-rescheduling
-        event cannot spin forever inside the window.
-        """
-        deadline = self.now + ticks
-        heap = self._heap
-        pop = heapq.heappop
-        fired = 0
-        limit = max_events
-        self._stopped = False
-        try:
-            while heap and heap[0][0] <= deadline:
-                tick, _, fn, args = pop(heap)
-                self.now = tick
-                fired += 1
-                fn(*args)
-                if self._stopped:
-                    return
-                if fired > limit:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; "
-                        "likely an event storm"
-                    )
-        finally:
-            self.events_fired += fired
-        if self.now < deadline:
-            self.now = deadline

@@ -169,9 +169,8 @@ class System:
     def _core_finished(self, core: Core) -> None:
         self._finished_count += 1
         if self._finished_count >= len(self.cores):
-            # Stop the engine from inside the finishing event: cheaper than
-            # evaluating an `until()` predicate before every dispatch, and
-            # it halts at exactly the same event boundary.
+            # Stop the engine from inside the finishing event, so the run
+            # halts at exactly this event boundary.
             self.engine.stop()
 
     def _all_finished(self) -> bool:

@@ -17,7 +17,6 @@ from repro.workloads.synthetic import (
     server_trace,
     stream_trace,
 )
-from repro.workloads.tracefile import load_trace, read_records, save_trace
 from repro.workloads.validation import (
     TraceProfile,
     profile_suite,
@@ -26,11 +25,8 @@ from repro.workloads.validation import (
 
 __all__ = [
     "TraceProfile",
-    "load_trace",
     "profile_suite",
     "profile_trace",
-    "read_records",
-    "save_trace",
     "ALL_WORKLOADS",
     "CORE_STRIDE",
     "MIXES",

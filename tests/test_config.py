@@ -6,7 +6,6 @@ from repro.config import (
     CacheConfig,
     DramConfig,
     SystemConfig,
-    default_config,
     paper_8core,
     paper_16core,
     small_8core,
@@ -46,14 +45,6 @@ class TestPaperPresets:
     def test_small_16core(self):
         cfg = small_16core()
         assert cfg.cores == 16 and cfg.dram.channels == 2
-
-    def test_default_config_small(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCALE", raising=False)
-        assert default_config().llc.size_bytes == small_8core().llc.size_bytes
-
-    def test_default_config_paper(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "paper")
-        assert default_config().llc.size_bytes == paper_8core().llc.size_bytes
 
 
 class TestDerivedConfigs:

@@ -10,9 +10,6 @@ from repro.cpu.trace import (
     LOAD,
     NONMEM,
     STORE,
-    mem_fraction,
-    replay,
-    store_fraction,
     take,
     validate_record,
 )
@@ -163,20 +160,6 @@ class TestTraceHelpers:
     def test_take(self):
         recs = take(iter([(NONMEM, 0, 0)] * 3), 5)
         assert len(recs) == 3
-
-    def test_replay_loops(self):
-        r = replay([(LOAD, 64, 0), (STORE, 64, 4)])
-        assert take(r, 5)[4] == (LOAD, 64, 0)
-
-    def test_replay_empty_raises(self):
-        with pytest.raises(TraceError):
-            next(replay([]))
-
-    def test_fractions(self):
-        recs = [(NONMEM, 0, 0), (LOAD, 64, 0), (STORE, 64, 0),
-                (LOAD, 64, 0)]
-        assert mem_fraction(recs) == pytest.approx(0.75)
-        assert store_fraction(recs) == pytest.approx(1 / 3)
 
 
 class InstantMemory:

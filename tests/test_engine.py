@@ -43,29 +43,6 @@ class TestOrdering:
 
 
 class TestRunControl:
-    def test_until_condition_stops(self):
-        eng = Engine()
-        fired = []
-        for t in (1, 2, 3, 4):
-            eng.schedule(t, lambda t=t: fired.append(t))
-        eng.run(until=lambda: len(fired) >= 2)
-        assert fired == [1, 2]
-        assert eng.pending == 2
-
-    def test_run_for_advances_time(self):
-        eng = Engine()
-        eng.schedule(5, lambda: None)
-        eng.run_for(100)
-        assert eng.now == 100
-
-    def test_run_for_only_fires_in_window(self):
-        eng = Engine()
-        fired = []
-        eng.schedule(5, lambda: fired.append(5))
-        eng.schedule(500, lambda: fired.append(500))
-        eng.run_for(100)
-        assert fired == [5]
-
     def test_event_storm_detected(self):
         eng = Engine()
         def storm():
@@ -73,34 +50,6 @@ class TestRunControl:
         eng.schedule(0, storm)
         with pytest.raises(SimulationError):
             eng.run(max_events=100)
-
-    def test_run_for_honours_stop(self):
-        eng = Engine()
-        fired = []
-        eng.schedule(5, lambda: (fired.append(5), eng.stop()))
-        eng.schedule(10, lambda: fired.append(10))
-        eng.run_for(100)
-        assert fired == [5]
-        assert eng.now == 5
-        assert eng.pending == 1
-
-    def test_run_for_detects_event_storm(self):
-        eng = Engine()
-        def storm():
-            eng.schedule(eng.now, storm)  # zero-delay self-reschedule
-        eng.schedule(0, storm)
-        with pytest.raises(SimulationError):
-            eng.run_for(10, max_events=100)
-
-    def test_run_for_resumes_after_stop(self):
-        eng = Engine()
-        fired = []
-        eng.schedule(5, lambda: (fired.append(5), eng.stop()))
-        eng.schedule(10, lambda: fired.append(10))
-        eng.run_for(100)
-        eng.run_for(100)
-        assert fired == [5, 10]
-        assert eng.now == 105
 
     def test_step_empty_returns_false(self):
         assert Engine().step() is False

@@ -1,9 +1,9 @@
 """Engine dispatch semantics added by the hot-path overhaul.
 
 Covers the slotted ``(tick, seq, fn, args)`` event records, same-tick
-batch dispatch ordering, the :meth:`Engine.stop` flag, and ``run_for``
-deadline behaviour - the invariants the rest of the simulator (and the
-golden-stats contract) depends on.
+batch dispatch ordering and the :meth:`Engine.stop` flag - the
+invariants the rest of the simulator (and the golden-stats contract)
+depends on.
 """
 
 from __future__ import annotations
@@ -114,15 +114,6 @@ class TestStopFlag:
         eng.run()
         assert eng.events_fired == 1
 
-    def test_until_predicate_still_supported(self):
-        eng = Engine()
-        fired = []
-        for t in (1, 2, 3, 4):
-            eng.schedule(t, fired.append, t)
-        eng.run(until=lambda: len(fired) >= 2)
-        assert fired == [1, 2]
-        assert eng.pending == 2
-
     def test_storm_guard_active_in_batch_path(self):
         eng = Engine()
 
@@ -144,55 +135,3 @@ class TestStopFlag:
         eng.schedule(0, storm)
         with pytest.raises(SimulationError):
             eng.run(max_events=50)
-
-
-class TestRunForDeadline:
-    def test_runs_events_at_or_before_deadline_only(self):
-        eng = Engine()
-        fired = []
-        eng.schedule(10, fired.append, 10)
-        eng.schedule(100, fired.append, 100)  # exactly at the deadline
-        eng.schedule(101, fired.append, 101)
-        eng.run_for(100)
-        assert fired == [10, 100]
-        assert eng.now == 100
-        assert eng.pending == 1
-
-    def test_advances_clock_to_deadline_when_queue_drains(self):
-        eng = Engine()
-        eng.schedule(5, lambda: None)
-        eng.run_for(1000)
-        assert eng.now == 1000
-
-    def test_deadline_is_relative_to_now(self):
-        eng = Engine()
-        eng.schedule(50, lambda: None)
-        eng.run()
-        assert eng.now == 50
-        fired = []
-        eng.schedule(120, fired.append, 120)
-        eng.run_for(100)  # deadline = 150
-        assert fired == [120]
-        assert eng.now == 150
-
-    def test_events_scheduled_inside_window_run(self):
-        eng = Engine()
-        fired = []
-
-        def cascade():
-            fired.append("a")
-            eng.schedule(eng.now + 10, fired.append, "b")
-            eng.schedule(eng.now + 1000, fired.append, "never")
-
-        eng.schedule(10, cascade)
-        eng.run_for(100)
-        assert fired == ["a", "b"]
-        assert eng.now == 100
-        assert eng.pending == 1
-
-    def test_counts_events_fired(self):
-        eng = Engine()
-        for t in (1, 2, 3):
-            eng.schedule(t, lambda: None)
-        eng.run_for(2)
-        assert eng.events_fired == 2

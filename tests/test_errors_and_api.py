@@ -1,5 +1,8 @@
 """Error taxonomy and public-API surface."""
 
+import importlib
+import inspect
+
 import pytest
 
 import repro
@@ -24,6 +27,27 @@ class TestErrorHierarchy:
     def test_catchable_as_base(self):
         with pytest.raises(ReproError):
             raise ConfigError("bad")
+
+
+#: Entry points that only tests called, deleted so that a run has one
+#: trace source (the generators) and one dispatch loop (``Engine.run``
+#: plus ``stop()``): (module, dotted attribute path).
+RETIRED = [
+    ("repro.workloads", "tracefile"),
+    ("repro.workloads", "load_trace"),
+    ("repro.workloads", "read_records"),
+    ("repro.workloads", "save_trace"),
+    ("repro.cpu", "replay"),
+    ("repro.cpu", "mem_fraction"),
+    ("repro.cpu", "store_fraction"),
+    ("repro.cpu.trace", "replay"),
+    ("repro.prefetch", "NullPrefetcher"),
+    ("repro.prefetch.base", "NullPrefetcher"),
+    ("repro", "default_config"),
+    ("repro.config", "default_config"),
+    ("repro.config.presets", "default_config"),
+    ("repro.sim.engine", "Engine.run_for"),
+]
 
 
 class TestPublicAPI:
@@ -55,6 +79,20 @@ class TestPublicAPI:
             for name in module.__all__:
                 assert hasattr(module, name), (
                     f"{module.__name__} missing {name}")
+
+    @pytest.mark.parametrize("module, path", RETIRED,
+                             ids=lambda v: v.replace(".", "_"))
+    def test_retired_entry_points_stay_gone(self, module, path):
+        obj = importlib.import_module(module)
+        *parents, leaf = path.split(".")
+        for part in parents:
+            obj = getattr(obj, part)
+        assert not hasattr(obj, leaf), f"{module}.{path} is back"
+
+    def test_engine_run_takes_no_predicate(self):
+        from repro.sim.engine import Engine
+
+        assert "until" not in inspect.signature(Engine.run).parameters
 
     def test_docstrings_on_public_surface(self):
         """Every public item reachable from the top level is documented."""

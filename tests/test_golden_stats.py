@@ -231,6 +231,27 @@ def test_bard_e_golden_takes_overrides():
     assert stats["wb.cleanses"] == 0
 
 
+#: What the goldens must keep covering, as (golden, counter) pairs that
+#: must stay positive: ``bard_e_override`` drains the write queue and
+#: takes the override branch; both BARD-H goldens cleanse.  No BARD-H
+#: golden reaches a write drain yet (``bard_write_drain`` and
+#: ``bard_sampled`` issue no DRAM write), so that pairing is not listed.
+MECHANISM_COVERAGE = [
+    ("bard_e_override", "dram.episodes"),
+    ("bard_e_override", "wb.overrides"),
+    ("bard_write_drain", "wb.cleanses"),
+    ("bard_sampled", "wb.cleanses"),
+]
+
+
+def test_goldens_cover_bard_mechanisms():
+    """A regeneration that loses one of BARD's mechanisms fails here,
+    even though every golden still matches its own (new) numbers."""
+    missing = [(name, counter) for name, counter in MECHANISM_COVERAGE
+               if GOLDEN[name]["stats"].get(counter, 0) <= 0]
+    assert not missing, f"goldens no longer exercise {missing}"
+
+
 @pytest.mark.parametrize("name", ["bard_e_override", "bard_write_drain",
                                   "write_stream"])
 def test_decision_shares_read_the_golden_counters(name):

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import ConfigError
 from repro.prefetch import (
     BertiPrefetcher,
-    NullPrefetcher,
     SPPPrefetcher,
     make_prefetcher,
 )
@@ -74,9 +73,6 @@ class TestSPP:
 
 
 class TestNullAndFactory:
-    def test_null(self):
-        assert NullPrefetcher().on_access(0, 0, True) == []
-
     def test_factory_none(self):
         assert make_prefetcher(None) is None
         assert make_prefetcher("none") is None
