@@ -285,16 +285,20 @@ class System:
         """Caches in canonical snapshot order."""
         return [self.llc, *self.l2s, *self.l1ds, *self.l1is]
 
-    def drain(self) -> None:
-        """Functionally complete every in-flight cache miss, top down.
+    def _complete_unsent(self) -> None:
+        """Functionally complete every access not yet sent below its
+        cache (:meth:`~repro.cache.cache.Cache.complete_unsent`).
 
-        Upper levels drain first so their warm installs (and any warm
-        writebacks of evicted dirty victims) land in still-live lower
-        levels; the LLC drains last.  The writeback policy's dirty index
-        is re-primed afterwards (the warm path never consults it).
+        Upper levels go first, so their warm installs (and the warm
+        writebacks of evicted dirty victims) land in lower levels before
+        those complete their own; the LLC goes last.  The writeback
+        policy's dirty index is re-primed afterwards (the warm path
+        never consults it), so the detailed drain that follows sees it
+        right.
         """
+        now = self.engine.now
         for cache in [*self.l1is, *self.l1ds, *self.l2s, self.llc]:
-            cache.drain(self.engine.now)
+            cache.complete_unsent(now)
         self._prime_writeback_policy()
 
     def _bank_command_totals(self) -> Tuple[int, int]:
@@ -507,15 +511,18 @@ class System:
                     skip = gap - detail - warm
                     if warm:
                         # Functional warming rewrites tag arrays in
-                        # place; a detailed fill still in flight from
-                        # the previous interval would land on a
-                        # rewritten set and corrupt the tag index.  Idle
-                        # the cores and complete the pipeline first (the
+                        # place, so no detailed fill may still be in
+                        # flight when it starts.  Idle the cores; an
+                        # access not yet sent below its cache completes
+                        # functionally (only the discarded re-warm
+                        # window would time its instruction), and the
+                        # misses already below drain in detail (the
                         # queue empties: channels stop ticking once
                         # reads drain and the write queue is below its
                         # watermark).
                         for core in self.cores:
                             core.pause()
+                        self._complete_unsent()
                         self.engine.run()
                     for core in self.cores:
                         if skip:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cache.cache import Cache
+from repro.cache.mshr import FULL_WORD_MASK
 from repro.cache.replacement import LRUPolicy
 from repro.sim.engine import Engine
 
@@ -246,3 +247,93 @@ class TestCleanse:
         s, w = cache.find_line(0)
         cache.cleanse(s, w, engine.now)
         assert lower.writebacks == []
+
+
+class ScriptedPrefetcher:
+    """Asks for a fixed list of addresses on every demand access."""
+
+    def __init__(self, targets):
+        self.targets = targets
+
+    def on_access(self, addr, pc, hit):
+        return list(self.targets)
+
+
+def assert_one_tag_per_line(cache):
+    """The tag index and the line array agree, one way per line."""
+    resident = [line.line_addr for cset in cache.sets
+                for line in cset.lines if line.valid]
+    assert len(resident) == len(set(resident))
+    for tags, cset in zip(cache._tags, cache.sets):
+        assert len(tags) == sum(line.valid for line in cset.lines)
+        for addr, way in tags.items():
+            assert cset.lines[way].valid
+            assert cset.lines[way].line_addr == addr
+
+
+class TestWarmPathMergesInFlight:
+    """A warm access to a line whose detailed fill is in flight merges
+    into its MSHR entry, as a detailed miss would; the fill installs it."""
+
+    @pytest.fixture
+    def in_flight(self):
+        engine = Engine()
+        lower = FakeLower(engine, auto=False)
+        cache = make_cache(engine, lower)
+        cache.access(0, False, 1, 0, None)
+        engine.run()                         # request reaches lower level
+        return engine, lower, cache
+
+    def fill(self, engine, lower, cache):
+        lower.respond_all()
+        engine.run()
+        assert not cache.mshr
+        assert_one_tag_per_line(cache)
+        s, w = cache.find_line(0)
+        return cache.sets[s].lines[w]
+
+    def test_warm_access(self, in_flight):
+        engine, lower, cache = in_flight
+        cache.warm_access(8, True, 1)
+        assert cache.find_line(0) is None
+        assert cache.mshr[0].is_write
+        assert cache.mshr[0].word_mask == 0b11
+        assert self.fill(engine, lower, cache).dirty
+
+    def test_warm_writeback(self, in_flight):
+        engine, lower, cache = in_flight
+        cache.warm_writeback(0)
+        assert cache.find_line(0) is None
+        assert cache.mshr[0].is_write
+        assert cache.mshr[0].word_mask == FULL_WORD_MASK
+        assert self.fill(engine, lower, cache).dirty
+
+    def test_warm_prefetch_filter(self, in_flight):
+        engine, lower, cache = in_flight
+        cache.prefetcher = ScriptedPrefetcher([0])
+        cache.warm_access(64, False, 1)
+        assert cache.find_line(0) is None
+        assert not self.fill(engine, lower, cache).dirty
+
+
+class TestCompleteUnsent:
+    def test_issue_queue_completes_functionally(self):
+        """Only the miss already below stays outstanding."""
+        engine = Engine()
+        lower = FakeLower(engine, auto=False)
+        cache = make_cache(engine, lower, mshrs=1)
+        done = []
+        cache.access(0, False, 1, 0, lambda t: done.append(("a", t)))
+        cache.access(64, True, 1, 0, lambda t: done.append(("b", t)))
+        assert len(cache._issue_queue) == 1
+        engine.run()
+        cache.complete_unsent(engine.now)
+        assert done == [("b", engine.now)]
+        assert list(cache.mshr) == [0] and not cache._issue_queue
+        s, w = cache.find_line(64)
+        assert cache.sets[s].lines[w].dirty
+        lower.respond_all()
+        engine.run()
+        assert lower.reads == [0]
+        assert [name for name, _ in done] == ["b", "a"]
+        assert_one_tag_per_line(cache)

@@ -13,8 +13,11 @@ choice under detailed warmup) and ``bard_sampled`` (BARD-H with
 functional warmup and interval sampling, also replayed from a
 checkpoint restore) were captured later, before the request-path
 flattening.  ``bard_e_override`` (BARD-E on ``cf``) was captured after
-it; it is the one golden whose victim choices take the BARD-E override
-branch (:func:`test_bard_e_golden_takes_overrides`).
+it; it is the one golden that overrides often and never cleanses
+(:func:`test_bard_e_golden_takes_overrides`).  ``bard_sampled`` was
+regenerated with a 5,000-instruction warmup when sampled gaps began to
+complete unsent misses functionally: the longer warmup fills the LLC, so
+its BARD-H run drains writes and takes both BARD branches.
 
 The engine event counts (``events_fired``) are not the seed's; every
 baseline ``stats`` counter is.  Two changes fired fewer events for the same
@@ -225,7 +228,7 @@ def test_session_path_produces_identical_results():
 
 def test_bard_e_golden_takes_overrides():
     """``bard_e_override`` pins the override branch of
-    ``BardPolicy.choose_victim``, which neither BARD-H golden reaches."""
+    ``BardPolicy.choose_victim`` without BARD-C's cleanses."""
     stats = GOLDEN["bard_e_override"]["stats"]
     assert stats["wb.overrides"] > 0
     assert stats["wb.cleanses"] == 0
@@ -233,14 +236,16 @@ def test_bard_e_golden_takes_overrides():
 
 #: What the goldens must keep covering, as (golden, counter) pairs that
 #: must stay positive: ``bard_e_override`` drains the write queue and
-#: takes the override branch; both BARD-H goldens cleanse.  No BARD-H
-#: golden reaches a write drain yet (``bard_write_drain`` and
-#: ``bard_sampled`` issue no DRAM write), so that pairing is not listed.
+#: takes the override branch; both BARD-H goldens cleanse, and
+#: ``bard_sampled`` also drains and overrides.  ``bard_write_drain``
+#: issues no DRAM write, so its drain pairing is not listed.
 MECHANISM_COVERAGE = [
     ("bard_e_override", "dram.episodes"),
     ("bard_e_override", "wb.overrides"),
     ("bard_write_drain", "wb.cleanses"),
     ("bard_sampled", "wb.cleanses"),
+    ("bard_sampled", "dram.episodes"),
+    ("bard_sampled", "wb.overrides"),
 ]
 
 

@@ -171,6 +171,65 @@ class TestSampledRun:
             system.run_sampled()
 
 
+def assert_quiesced(system):
+    """What functional warming needs to find when a gap's quiesce ends:
+    nothing in flight, a tag index that matches the line arrays, and a
+    writeback-policy dirty index that matches the LLC's dirty lines."""
+    for cache in [system.llc, *system.l2s, *system.l1ds, *system.l1is]:
+        assert not cache.mshr, cache.name
+        assert not cache._issue_queue, cache.name
+        assert not cache._pending, cache.name
+        for tags, cset in zip(cache._tags, cache.sets):
+            for addr, way in tags.items():
+                line = cset.lines[way]
+                assert line.valid and line.line_addr == addr, cache.name
+            assert len(tags) == sum(line.valid for line in cset.lines)
+    indexed = {addr for bucket in system.llc_policy._rows.values()
+               for addr in bucket}
+    dirty = {line.line_addr for cset in system.llc.sets
+             for line in cset.lines if line.valid and line.dirty}
+    assert indexed == dirty
+
+
+class TestGapQuiesce:
+    """A gap completes unsent accesses functionally and drains the rest
+    in detail before functional warming rewrites the tag arrays.  VWQ is
+    the writeback policy that keeps a dirty-line index, so it shows a
+    missing re-prime."""
+
+    @pytest.mark.parametrize("mshrs", [None, 16])
+    def test_every_gap_leaves_the_hierarchy_quiet(self, monkeypatch,
+                                                  mshrs):
+        from repro.cache.cache import Cache
+        from repro.cpu.core import Core
+
+        cfg = sampled_tiny(llc_writeback="vwq")
+        if mshrs is not None:
+            cfg = cfg.with_mshrs(mshrs)
+        system = System(cfg, trace_factory("lbm", cfg, seed=7))
+        gaps = []
+        completed = []
+        warm_up = Core.warm_up
+        complete_unsent = Cache.complete_unsent
+
+        def checked_warm_up(core, budget):
+            if core.core_id == 0 and core.engine.now:
+                assert_quiesced(system)
+                gaps.append(core.engine.now)
+            warm_up(core, budget)
+
+        def counted(cache, now):
+            completed.append(len(cache._issue_queue) + len(cache._pending))
+            complete_unsent(cache, now)
+
+        monkeypatch.setattr(Core, "warm_up", checked_warm_up)
+        monkeypatch.setattr(Cache, "complete_unsent", counted)
+        system.run()
+        assert len(gaps) == cfg.sampling.intervals - 1
+        if mshrs is None:
+            assert sum(completed) > 0
+
+
 class TestExperimentIntegration:
     def test_sampled_and_full_keys_differ(self):
         full = tiny_config(warmup_mode="functional")
