@@ -1,9 +1,12 @@
 """Per-bank traffic analysis.
 
 The paper's thesis is about the *distribution* of writes over banks; this
-module summarises that distribution from the per-bank command counters the
-DRAM model keeps, giving a finer-grained view than the per-episode BLP
-number (e.g. for diagnosing why a workload's BLP is low).
+module summarises that distribution from the per-bank read/write burst
+counts the DRAM model keeps, giving a finer-grained view than the
+per-episode BLP number (e.g. for diagnosing why a workload's BLP is low).
+Those counts are reset with the other statistics at every epoch
+boundary, so after a run they cover its last measured window (the whole
+measurement of a full run; the last interval of a sampled one).
 """
 
 from __future__ import annotations

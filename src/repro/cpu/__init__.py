@@ -1,7 +1,7 @@
 """Trace-driven CPU model: cores, ROB, TLBs, and the trace protocol."""
 
 from repro.cpu.core import Core, CoreStats, RobEntry
-from repro.cpu.tlb import TLB, TLBHierarchy, TLBStats
+from repro.cpu.tlb import TLB, TLBHierarchy
 from repro.cpu.trace import (
     LOAD,
     NONMEM,
@@ -20,7 +20,6 @@ __all__ = [
     "STORE",
     "TLB",
     "TLBHierarchy",
-    "TLBStats",
     "TraceRecord",
     "take",
     "validate_record",

@@ -10,7 +10,6 @@ targets).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 #: 4 KB pages.
@@ -23,16 +22,6 @@ TLBState = Tuple[List[Dict[int, int]], int]
 HierarchyState = Tuple[TLBState, TLBState]
 
 
-@dataclass
-class TLBStats:
-    accesses: int = 0
-    misses: int = 0
-
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
-
 class TLB:
     """Set-associative LRU TLB; ``lookup`` returns the added latency."""
 
@@ -42,7 +31,6 @@ class TLB:
         self.num_sets = num_sets
         self.ways = ways
         self.hit_latency = hit_latency
-        self.stats = TLBStats()
         # Per-set mapping of page number -> recency stamp.
         self._sets: List[Dict[int, int]] = [dict() for _ in range(num_sets)]
         self._clock = 0
@@ -51,7 +39,6 @@ class TLB:
         """Translate; returns True on hit.  Inserts the page on miss."""
         page = addr >> PAGE_BITS
         s = self._sets[page % self.num_sets]
-        self.stats.accesses += 1
         self._clock += 1
         if page in s:
             s[page] = self._clock
@@ -60,15 +47,14 @@ class TLB:
         return False
 
     def _insert(self, s: Dict[int, int], page: int) -> None:
-        """The miss half of a lookup (access and clock already counted)."""
-        self.stats.misses += 1
+        """The miss half of a lookup (the clock already advanced)."""
         if len(s) >= self.ways:
             lru_page = min(s, key=s.get)
             del s[lru_page]
         s[page] = self._clock
 
     def snapshot(self) -> TLBState:
-        """Copy of the translation state (stats excluded)."""
+        """Copy of the translation state."""
         return ([dict(s) for s in self._sets], self._clock)
 
     def restore(self, state: TLBState) -> None:
@@ -102,7 +88,6 @@ class TLBHierarchy:
         l1 = self.l1
         page = addr >> PAGE_BITS
         s = l1._sets[page % l1.num_sets]
-        l1.stats.accesses += 1
         clock = l1._clock = l1._clock + 1
         if page in s:
             s[page] = clock

@@ -56,15 +56,16 @@ _ROW_CONFLICT = AccessKind.ROW_CONFLICT
 
 @dataclass(slots=True)
 class BankStats:
-    """Command counters for one bank (feeds the power model)."""
+    """Bursts to one bank in the current measurement epoch.
 
-    activates: int = 0
-    precharges: int = 0
+    ``System.reset_stats`` replaces these at every epoch boundary, so
+    after a run they cover the last measured window (see
+    :mod:`repro.analysis.banks`).  ACT/PRE are counted per epoch by the
+    sub-channel, in :class:`~repro.dram.stats.SubChannelStats`.
+    """
+
     reads: int = 0
     writes: int = 0
-    row_hits: int = 0
-    row_conflicts: int = 0
-    row_closed: int = 0
 
 
 class Bank:
@@ -179,30 +180,21 @@ class Bank:
     def commit(self, row: int, op: Op, burst_cycle: int) -> AccessKind:
         """Record that a burst for (row, op) starts at ``burst_cycle``.
 
-        Returns the row-buffer interaction kind, for statistics.
+        Returns the row-buffer interaction kind: the sub-channel counts
+        an ACT for every kind but ``ROW_HIT`` and a PRE for a
+        ``ROW_CONFLICT``.
         """
-        stats = self.stats
         kind = self.classify(row)
-        if kind is _ROW_HIT:
-            stats.row_hits += 1
-        else:
-            act_burst = (self._act_burst_wr if op is _WRITE
-                         else self._act_burst_rd)
-            if kind is _ROW_CLOSED:
-                stats.activates += 1
-                stats.row_closed += 1
-            else:
-                stats.precharges += 1
-                stats.activates += 1
-                stats.row_conflicts += 1
-            self.act_cycle = burst_cycle - act_burst
+        if kind is not _ROW_HIT:
+            self.act_cycle = burst_cycle - (
+                self._act_burst_wr if op is _WRITE else self._act_burst_rd)
             self.open_row = row
         self.last_burst_cycle = burst_cycle
         self.last_burst_op = op
         if op is _WRITE:
-            stats.writes += 1
+            self.stats.writes += 1
         else:
-            stats.reads += 1
+            self.stats.reads += 1
         return kind
 
     def close_row(self, now: int) -> None:
@@ -227,4 +219,3 @@ class Bank:
             pre = drain
         self.open_row = None
         self.pre_done_cycle = pre + self._trp
-        self.stats.precharges += 1

@@ -68,7 +68,6 @@ class WriteQueue:
     entries: List[MemRequest] = field(default_factory=list)
     #: Line address -> its queued write (coalescing and forwarding).
     by_addr: Dict[int, MemRequest] = field(default_factory=dict)
-    coalesced: int = 0
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
@@ -103,7 +102,6 @@ class WriteQueue:
         line_addr = req.addr
         by_addr = self.by_addr
         if line_addr in by_addr:
-            self.coalesced += 1
             return True
         entries = self.entries
         if len(entries) >= self.capacity:

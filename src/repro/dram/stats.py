@@ -9,7 +9,14 @@ These counters directly feed the paper's evaluation metrics:
 * **write-to-write delay** (Table V): burst-to-burst spacing of consecutive
   writes within a drain episode,
 * command counters for the power model (Table IX) and bandwidth analysis
-  (Table VIII).
+  (Table VIII).  ACT/PRE are counted where a burst is committed (and a
+  PRE for each row an all-bank refresh closes); like every counter here
+  they cover one measurement epoch, as ``System.reset_stats`` replaces
+  the stats object at each epoch boundary.
+
+Per-bank read/write burst counts live on each bank
+(:class:`~repro.dram.bank.BankStats`) and are reset with these, so after
+a run they cover its last measured window.
 """
 
 from __future__ import annotations
@@ -49,7 +56,6 @@ class SubChannelStats:
     write_mode_cycles: int = 0
     turnaround_cycles: int = 0
     busy_cycles: int = 0
-    read_latency_sum: int = 0
     episodes: List[DrainEpisode] = field(default_factory=list)
     w2w_delay_sum: int = 0
     w2w_delay_count: int = 0
@@ -92,7 +98,6 @@ class SubChannelStats:
         self.write_mode_cycles += other.write_mode_cycles
         self.turnaround_cycles += other.turnaround_cycles
         self.busy_cycles += other.busy_cycles
-        self.read_latency_sum += other.read_latency_sum
         self.episodes.extend(other.episodes)
         self.w2w_delay_sum += other.w2w_delay_sum
         self.w2w_delay_count += other.w2w_delay_count

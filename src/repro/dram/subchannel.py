@@ -311,6 +311,10 @@ class SubChannel:
             self._last_wr_burst = burst
         else:
             kind = self.banks[req.sc_bank].commit(req.row, op, burst)
+            if kind is not _ROW_HIT:
+                stats.activates += 1
+                if kind is _ROW_CONFLICT:
+                    stats.precharges += 1
             if is_write:
                 if kind is _ROW_HIT:
                     stats.write_row_hits += 1
@@ -344,7 +348,8 @@ class SubChannel:
         """All-bank refresh: stall the sub-channel for tRFC every tREFI.
 
         Modelled as a bus reservation plus closing every row (refresh
-        precharges all banks).  Disabled by default to match the paper.
+        precharges all banks; each open one counts a PRE).  Disabled by
+        default to match the paper.
         """
         if not self.refresh_enabled:
             return
@@ -353,6 +358,8 @@ class SubChannel:
             end = start + self.trfc
             self.bus_free_cycle = max(self.bus_free_cycle, end)
             for bank in self.banks:
+                if bank.open_row is not None:
+                    self.stats.precharges += 1
                 bank.close_row(start)
                 bank.pre_done_cycle = max(bank.pre_done_cycle, end)
             self._next_refresh += self.trefi
@@ -366,8 +373,3 @@ class SubChannel:
         """Close out an in-progress drain episode for the statistics."""
         if self._in_drain:
             self._end_episode()
-        # Roll per-bank command counters up into the sub-channel stats.
-        acts = sum(b.stats.activates for b in self.banks)
-        pres = sum(b.stats.precharges for b in self.banks)
-        self.stats.activates = acts
-        self.stats.precharges = pres

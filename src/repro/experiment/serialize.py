@@ -36,7 +36,10 @@ from repro.sim.results import RunResult
 #: v3: CacheStats gained the MSHR-pipeline counters (including the
 #: list-valued occupancy histogram) and RunResult ``mshr_stall_cycles``.
 #: v4: SamplingSummary lost ``scheme`` (placement is always periodic).
-RESULT_FORMAT = 4
+#: v5: ACT/PRE count only the measured epoch's commands (v4 results of
+#: detailed-warmup runs include the warmup's), and SubChannelStats lost
+#: ``read_latency_sum``.
+RESULT_FORMAT = 5
 
 #: Bump when the ExperimentSpec wire schema changes incompatibly.
 EXPERIMENT_FORMAT = 1

@@ -8,7 +8,6 @@ BLP-Tracker accuracy analysis (paper section VII-I).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
 from repro.dram.channel import Channel
@@ -19,12 +18,6 @@ from repro.dram.mapping import ZenMapping
 # several times a global's, and one of these runs per memory request.
 _READ = Op.READ
 _WRITE = Op.WRITE
-
-
-@dataclass
-class MemCtrlStats:
-    reads: int = 0
-    writes: int = 0
 
 
 class MemoryController:
@@ -38,18 +31,15 @@ class MemoryController:
             )
         self.mapping = mapping
         self.channels = channels
-        self.stats = MemCtrlStats()
 
     def read(self, line_addr: int, now: int, on_done, core_id: int,
              is_prefetch: bool, pc: int = 0) -> None:
         coord = self.mapping.map(line_addr)
-        self.stats.reads += 1
         self.channels[coord.channel].submit(MemRequest(
             line_addr, _READ, coord, now, core_id, is_prefetch, on_done))
 
     def writeback(self, line_addr: int, now: int) -> None:
         coord = self.mapping.map(line_addr)
-        self.stats.writes += 1
         self.channels[coord.channel].submit(
             MemRequest(line_addr, _WRITE, coord, now))
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import copy
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro import telemetry
 
@@ -17,6 +17,7 @@ from repro.core.blp_tracker import BLPTracker
 from repro.cpu.core import Core, CoreStats
 from repro.cpu.tlb import TLBHierarchy
 from repro.cpu.trace import TraceRecord
+from repro.dram.bank import BankStats
 from repro.dram.channel import Channel, ChannelStats
 from repro.dram.mapping import ZenMapping
 from repro.dram.stats import SubChannelStats
@@ -220,6 +221,8 @@ class System:
             channel.stats = ChannelStats()
             for sc in channel.subchannels:
                 sc.stats = SubChannelStats()
+                for bank in sc.banks:
+                    bank.stats = BankStats()
         if self.llc_policy is not None:
             self.llc_policy.stats = WritebackPolicyStats()
             if isinstance(self.llc_policy, BardPolicy):
@@ -300,16 +303,6 @@ class System:
         for cache in [*self.l1is, *self.l1ds, *self.l2s, self.llc]:
             cache.complete_unsent(now)
         self._prime_writeback_policy()
-
-    def _bank_command_totals(self) -> Tuple[int, int]:
-        """Lifetime (activates, precharges) summed over every bank."""
-        acts = pres = 0
-        for channel in self.channels:
-            for sc in channel.subchannels:
-                for bank in sc.banks:
-                    acts += bank.stats.activates
-                    pres += bank.stats.precharges
-        return acts, pres
 
     def snapshot_warm_state(self) -> WarmState:
         """Copied post-warmup state, restorable into a fresh system.
@@ -541,7 +534,6 @@ class System:
             self.reset_stats()
             start_tick = self.engine.now
             start_events = self.engine.events_fired
-            start_acts, start_pres = self._bank_command_totals()
             with telemetry.span(
                     f"sampling.interval[{index}]",
                     breakdown=self._phases,
@@ -560,20 +552,10 @@ class System:
             interval_cores = core_stats if core_stats is not None \
                 else [c.stats for c in self.cores]
             if index == last_index:
-                # Close the in-flight drain episode and roll per-bank
-                # command counters up exactly once, as a full run would.
+                # Close the in-flight drain episode, as a full run would.
                 self.memctrl.finalize()
-            interval_result = self._collect(run_label, start_tick,
-                                            start_events, core_stats)
-            # Per-bank ACT/PRE counters accumulate for the system's whole
-            # life and only roll into the sub-channel stats at finalize
-            # (i.e. once, after the last interval) - attribute each
-            # interval its own delta so discarded re-warm windows never
-            # inflate the sample's command counts (and its power model).
-            acts, pres = self._bank_command_totals()
-            interval_result.dram.activates = acts - start_acts
-            interval_result.dram.precharges = pres - start_pres
-            intervals.append(interval_result)
+            intervals.append(self._collect(run_label, start_tick,
+                                           start_events, core_stats))
             for core_id, stats in enumerate(interval_cores):
                 retired[core_id] += stats.retired
                 cycles[core_id] += stats.cycles

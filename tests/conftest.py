@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.config.system import CacheConfig, DramConfig, SystemConfig
+from repro.dram.bank import AccessKind, Bank
 
 
 def tiny_config(**overrides) -> SystemConfig:
@@ -40,6 +43,26 @@ def _no_leaked_fault_plans():
     faults.reset()
     yield
     faults.reset()
+
+
+def count_bank_commits(monkeypatch) -> Counter:
+    """From now on, count every ``Bank.commit`` by the kind it returns."""
+    kinds: Counter = Counter()
+    commit = Bank.commit
+
+    def counted(self, row, op, burst_cycle):
+        kind = commit(self, row, op, burst_cycle)
+        kinds[kind] += 1
+        return kind
+
+    monkeypatch.setattr(Bank, "commit", counted)
+    return kinds
+
+
+def activations(kinds: Counter) -> int:
+    """ACTs among counted commits: every kind but a row hit opens a row."""
+    return sum(n for kind, n in kinds.items()
+               if kind is not AccessKind.ROW_HIT)
 
 
 @pytest.fixture

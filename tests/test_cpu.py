@@ -89,8 +89,6 @@ class TestTLB:
         tlb = TLB(4, 2)
         assert not tlb.lookup(0x1000)
         assert tlb.lookup(0x1000)
-        assert tlb.stats.misses == 1
-        assert tlb.stats.accesses == 2
 
     def test_same_page_shares_entry(self):
         tlb = TLB(4, 2)
@@ -118,11 +116,12 @@ class TestTLB:
     def test_translate_matches_repeated_lookups(self, seed):
         """The L1 lookup inlined into ``translate`` leaves both levels
         exactly as plain ``TLB.lookup`` calls would: same latencies,
-        stats, LRU clock and set contents."""
+        LRU clock and set contents."""
         rng = random.Random(seed)
         hierarchy = TLBHierarchy(l1_sets=4, l1_ways=2, l2_sets=8,
                                  l2_ways=3, l2_latency=8, walk_latency=80)
         l1, l2 = TLB(4, 2), TLB(8, 3)
+        latencies = set()
         for _ in range(3000):
             # Mostly a small hot set of pages, sometimes a far one.
             page = rng.randrange(24) if rng.random() < 0.8 \
@@ -135,9 +134,10 @@ class TestTLB:
             else:
                 want = 88
             assert hierarchy.translate(addr) == want
+            latencies.add(want)
+        # Both levels hit and miss.
+        assert latencies == {0, 8, 88}
         for fast, ref in ((hierarchy.l1, l1), (hierarchy.l2, l2)):
-            assert fast.stats == ref.stats
-            assert fast.stats.misses > 0
             assert fast.snapshot() == ref.snapshot()
 
 

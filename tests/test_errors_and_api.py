@@ -31,7 +31,9 @@ class TestErrorHierarchy:
 
 #: Entry points that only tests called, deleted so that a run has one
 #: trace source (the generators) and one dispatch loop (``Engine.run``
-#: plus ``stop()``): (module, dotted attribute path).
+#: plus ``stop()``), and counters that only tests read, deleted so that
+#: each DRAM command is counted once, in the measured epoch: (module,
+#: dotted attribute path).
 RETIRED = [
     ("repro.workloads", "tracefile"),
     ("repro.workloads", "load_trace"),
@@ -47,6 +49,11 @@ RETIRED = [
     ("repro.config", "default_config"),
     ("repro.config.presets", "default_config"),
     ("repro.sim.engine", "Engine.run_for"),
+    ("repro.cpu", "TLBStats"),
+    ("repro.cpu.tlb", "TLBStats"),
+    ("repro.sim.memctrl", "MemCtrlStats"),
+    ("repro.dram.queues", "WriteQueue.coalesced"),
+    ("repro.sim.system", "System._bank_command_totals"),
 ]
 
 

@@ -19,8 +19,16 @@ regenerated with a 5,000-instruction warmup when sampled gaps began to
 complete unsent misses functionally: the longer warmup fills the LLC, so
 its BARD-H run drains writes and takes both BARD branches.
 
-The engine event counts (``events_fired``) are not the seed's; every
-baseline ``stats`` counter is.  Two changes fired fewer events for the same
+Every golden's ``dram.activates``/``dram.precharges`` were regenerated
+when ACT/PRE began to be counted per measurement epoch: until then the
+six detailed-warmup goldens reported the warmup's commands as measured.
+``bard_write_drain`` (5,000-instruction warmup) and ``write_stream``
+(5,000 warmup, 6,000 measured) were then regenerated with budgets that
+fill the LLC, so both drain writes and ``bard_write_drain`` overrides.
+
+The engine event counts (``events_fired``) are not the seed's; the
+baseline goldens' other ``stats`` counters are (except ``write_stream``'s,
+which runs longer).  Two changes fired fewer events for the same
 statistics.  ``mshr_pressure``'s cores used to poll an MSHR stall once
 per CPU cycle and now sleep until the L1D unstalls
 (:func:`test_mshr_stalls_cost_no_events`).  And the DRAM sub-channel
@@ -47,6 +55,7 @@ import pytest
 from repro.config import presets
 from repro.config.system import SystemConfig
 from repro.dram.channel import Channel
+from repro.dram.subchannel import SubChannel
 from repro.experiment.session import Session
 from repro.sampling.config import SamplingConfig
 from repro.sim.results import RunResult
@@ -192,27 +201,43 @@ def test_mshr_stalls_cost_no_events():
 def test_every_dram_scheduler_tick_issues(monkeypatch):
     """On ``graph_mix``, each ``Channel._tick_sc`` commits at least one
     read or write.  Ticks are counted over warmup and measurement, so
-    they are held to the banks' lifetime command counts (the measured
-    ``reads_issued + writes_issued`` leave out the warmup's)."""
+    they are held to every burst the sub-channels issue over the same
+    span (the measured ``reads_issued + writes_issued`` leave out the
+    warmup's)."""
     ticks = []
+    issued = []
     tick_sc = Channel._tick_sc
+    issue = SubChannel._issue
 
-    def counted(self, sc_idx):
+    def counted_tick(self, sc_idx):
         ticks.append(sc_idx)
         tick_sc(self, sc_idx)
 
-    monkeypatch.setattr(Channel, "_tick_sc", counted)
+    def counted_issue(self, req, burst):
+        issued.append(burst)
+        issue(self, req, burst)
+
+    monkeypatch.setattr(Channel, "_tick_sc", counted_tick)
+    monkeypatch.setattr(SubChannel, "_issue", counted_issue)
     golden = GOLDEN["graph_mix"]
     config = golden_config("graph_mix")
     system = System(config, trace_factory(golden["workload"], config,
                                           seed=golden["seed"]))
     result = system.run(label=golden["workload"])
-    issued = sum(bank.stats.reads + bank.stats.writes
-                 for channel in system.channels
-                 for sc in channel.subchannels for bank in sc.banks)
     measured = result.dram.reads_issued + result.dram.writes_issued
-    assert 0 < measured <= issued
-    assert len(ticks) <= issued
+    assert 0 < measured < len(issued)
+    assert len(ticks) <= len(issued)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_commands_are_conserved(name):
+    """With refresh off (no golden enables it), a PRE is issued only by
+    a row conflict, and an ACT by at most one burst each."""
+    stats = GOLDEN[name]["stats"]
+    assert stats["dram.precharges"] == (stats["dram.read_row_conflicts"]
+                                        + stats["dram.write_row_conflicts"])
+    assert stats["dram.activates"] <= (stats["dram.reads_issued"]
+                                       + stats["dram.writes_issued"])
 
 
 def test_session_path_produces_identical_results():
@@ -236,16 +261,18 @@ def test_bard_e_golden_takes_overrides():
 
 #: What the goldens must keep covering, as (golden, counter) pairs that
 #: must stay positive: ``bard_e_override`` drains the write queue and
-#: takes the override branch; both BARD-H goldens cleanse, and
-#: ``bard_sampled`` also drains and overrides.  ``bard_write_drain``
-#: issues no DRAM write, so its drain pairing is not listed.
+#: takes the override branch; both BARD-H goldens drain, cleanse and
+#: override; the baseline ``write_stream`` drains too.
 MECHANISM_COVERAGE = [
     ("bard_e_override", "dram.episodes"),
     ("bard_e_override", "wb.overrides"),
+    ("bard_write_drain", "dram.episodes"),
+    ("bard_write_drain", "wb.overrides"),
     ("bard_write_drain", "wb.cleanses"),
     ("bard_sampled", "wb.cleanses"),
     ("bard_sampled", "dram.episodes"),
     ("bard_sampled", "wb.overrides"),
+    ("write_stream", "dram.episodes"),
 ]
 
 

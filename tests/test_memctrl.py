@@ -28,12 +28,12 @@ class TestRouting:
                 is_prefetch=False)
         engine.run()
         assert len(done) == 1
-        assert mc.stats.reads == 1
+        assert mc.channels[0].stats.reads_received == 1
 
     def test_writeback_counted(self):
         engine, mc = make_mc()
         mc.writeback(0, 0)
-        assert mc.stats.writes == 1
+        assert mc.channels[0].stats.writes_received == 1
 
     def test_two_channel_routing(self):
         engine, mc = make_mc(channels=2)

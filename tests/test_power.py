@@ -2,8 +2,13 @@
 
 import pytest
 
+from repro.dram.bank import AccessKind, Bank
 from repro.dram.power import EnergyParams, estimate_power
 from repro.dram.stats import SubChannelStats
+from repro.sim.system import System
+from repro.workloads.suites import trace_factory
+
+from .conftest import activations, count_bank_commits, tiny_config
 
 
 def _stats(reads=0, writes=0, acts=0, hits=0, conflicts=0):
@@ -57,3 +62,39 @@ class TestPowerAndEDP:
         slow = estimate_power(_stats(reads=100, writes=50), 3000.0)
         fast = estimate_power(_stats(reads=100, writes=50), 2500.0)
         assert fast.edp < slow.edp
+
+
+class TestMeasuredCommands:
+    """The ACT/PRE counts the power model reads cover the measured epoch
+    only: each is counted once, when its burst (or refresh) issues."""
+
+    def _warmed(self, cfg):
+        system = System(cfg, trace_factory("copy", cfg, seed=7))
+        system.warm_up()
+        return system
+
+    def test_detailed_warmup_commands_are_not_counted(self, monkeypatch):
+        system = self._warmed(tiny_config())
+        kinds = count_bank_commits(monkeypatch)
+        result = system.run()
+        assert result.dram.activates == activations(kinds) > 0
+        assert result.dram.precharges == kinds[AccessKind.ROW_CONFLICT]
+
+    def test_refresh_precharges_count_in_the_epoch(self, monkeypatch):
+        # Long enough for one tREFI to pass inside the measured epoch.
+        system = self._warmed(
+            tiny_config(sim_instructions=9_000).with_refresh())
+        kinds = count_bank_commits(monkeypatch)
+        refresh_closes = []
+        close_row = Bank.close_row
+
+        def counted(self, now):
+            if self.open_row is not None:
+                refresh_closes.append(now)
+            close_row(self, now)
+
+        monkeypatch.setattr(Bank, "close_row", counted)
+        result = system.run()
+        assert refresh_closes
+        assert result.dram.precharges == (kinds[AccessKind.ROW_CONFLICT]
+                                          + len(refresh_closes))

@@ -44,13 +44,15 @@ class TestWriteQueueInvariants:
     def test_occupancy_never_exceeds_capacity(self, slots):
         q = WriteQueue(8, 6, 1)
         accepted = 0
-        coalesced_before = 0
+        coalesced = 0
         for slot in slots:
+            queued = slot * 64 in q.by_addr
             if q.push(_req(slot)):
                 accepted += 1
+                coalesced += queued
         assert len(q) <= q.capacity
         # Everything accepted is either resident or was a coalesce.
-        assert accepted == len(q) + q.coalesced
+        assert accepted == len(q) + coalesced
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(0, 100), min_size=1, max_size=60))

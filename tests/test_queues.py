@@ -72,10 +72,11 @@ class TestWriteQueueWatermarks:
 class TestWriteQueueCoalescing:
     def test_same_address_coalesces(self):
         q = WriteQueue(4, 3, 1)
-        assert q.push(_req(64))
+        first = _req(64)
+        assert q.push(first)
         assert q.push(_req(64))
         assert len(q) == 1
-        assert q.coalesced == 1
+        assert q.by_addr == {64: first}
 
     def test_coalesce_even_when_full(self):
         q = WriteQueue(2, 2, 0)

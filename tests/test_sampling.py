@@ -12,7 +12,7 @@ from repro.sampling import SamplingConfig
 from repro.sim.system import System
 from repro.workloads.suites import trace_factory
 
-from .conftest import tiny_config
+from .conftest import activations, count_bank_commits, tiny_config
 
 
 def sampled_tiny(sampling=None, **overrides):
@@ -150,17 +150,14 @@ class TestSampledRun:
         assert summary.starts == [0, period, 2 * period]
         assert summary.confidence == 0.95
 
-    def test_dram_commands_cover_only_measured_intervals(self):
+    def test_dram_commands_cover_only_measured_intervals(self,
+                                                         monkeypatch):
         """Discarded re-warm windows must not inflate DRAM commands."""
         cfg = sampled_tiny()
         system = System(cfg, trace_factory("copy", cfg, seed=7))
+        kinds = count_bank_commits(monkeypatch)
         result = system.run()
-        lifetime = sum(
-            bank.stats.activates
-            for channel in system.channels
-            for sc in channel.subchannels
-            for bank in sc.banks)
-        assert 0 < result.dram.activates < lifetime
+        assert 0 < result.dram.activates < activations(kinds)
 
     def test_run_sampled_requires_plan(self):
         from repro.errors import SimulationError

@@ -200,7 +200,8 @@ class TestOpenPage:
         bank = sc.banks[2 * 4 + 1]
         assert sc.idle
         assert bank.open_row == 7
-        assert bank.stats.precharges == 0
+        assert sc.stats.activates == 1
+        assert sc.stats.precharges == 0
 
     def test_only_a_conflict_precharges(self):
         sc = make_sc()
@@ -210,5 +211,6 @@ class TestOpenPage:
         bank = sc.banks[2 * 4 + 1]
         assert sc.stats.read_row_hits == 1
         assert sc.stats.read_row_conflicts == 1
-        assert bank.stats.precharges == 1
+        assert sc.stats.activates == 2
+        assert sc.stats.precharges == 1
         assert bank.open_row == 9
